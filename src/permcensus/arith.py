@@ -8,10 +8,11 @@ under the operations.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +114,8 @@ _SIGMA_TABLES: dict[int, list[int]] = {}
 def sigma_table(bound: int, k: int = 1) -> list[int]:
     """sigma_k(i) for i in 0..bound as a list (slot 0 holds 0).
 
-    The table is cached per k and regrown on demand; treat the returned
+    The table is cached per k and regrown geometrically; a longer table is
+    built in full and published with one assignment.  Treat the returned
     list as read-only.
     """
     table = _SIGMA_TABLES.get(k)
@@ -223,30 +225,58 @@ def discrete_convolve(f: ArithSeq, g: ArithSeq, n: int) -> Fraction:
     return sum((fv[k] * gv[n - k] for k in range(1, n)), Fraction(0))
 
 
-def ramanujan_rhs(n: int, order: str) -> Fraction:
+def series_product(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Coefficients 0..len(f)-1 of the product of two power series, exactly.
+
+    f and g hold the coefficients of equal-length series with non-negative
+    integer entries.  Both are packed into one decimal integer each, one
+    zero-padded slot of `width` digits per coefficient, and multiplied once;
+    libmpdec multiplies operands of this size by a number-theoretic
+    transform.  Coefficient k of the product is digit slot k of the result.
+    """
+    if len(f) != len(g):
+        raise ValueError(f"series lengths differ: {len(f)} vs {len(g)}")
+    if not f:
+        return []
+    if min(f) < 0 or min(g) < 0:
+        raise ValueError("series_product needs non-negative coefficients")
+    # Every product coefficient is a sum of at most len(f) terms f[i] g[k-i],
+    # so it is at most max(f) max(g) len(f) < 10^width: it fits in its slot
+    # and never carries into the next one.
+    width = len(str(max(f) * max(g) * len(f)))
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact, decimal.Rounded])
+    product = context.multiply(_pack(f, width), _pack(g, width))
+    digits = str(product).rjust(len(f) * width, "0")[-len(f) * width:]
+    return [int(digits[i:i + width]) for i in range((len(f) - 1) * width, -1, -width)]
+
+
+def _pack(coefficients: Sequence[int], width: int) -> decimal.Decimal:
+    return decimal.Decimal("".join(f"{c:0{width}d}" for c in reversed(coefficients)))
+
+
+def ramanujan_rhs(n: int, order: str) -> int:
     """Closed form for the additive self-convolutions of divisor sums.
 
     order "deg1" gives the value of sum_{0<k<n} sigma(k) sigma(n-k):
         5/12 sigma_3(n) + 1/12 sigma(n) - 1/2 n sigma(n)
     order "deg3" gives sum_{0<k<n} sigma(k) sigma_3(n-k):
         7/80 sigma_5(n) + 1/24 sigma_3(n) - 1/240 sigma(n) - 1/8 n sigma_3(n)
+    Both are computed as integer numerators over 12 and 240.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if order == "deg1":
-        return (
-            Fraction(5, 12) * sigma_k(n, 3)
-            + Fraction(1, 12) * sigma_k(n, 1)
-            - Fraction(n, 2) * sigma_k(n, 1)
-        )
-    if order == "deg3":
-        return (
-            Fraction(7, 80) * sigma_k(n, 5)
-            + Fraction(1, 24) * sigma_k(n, 3)
-            - Fraction(1, 240) * sigma_k(n, 1)
-            - Fraction(n, 8) * sigma_k(n, 3)
-        )
-    raise ValueError(f"unknown order {order!r}; expected 'deg1' or 'deg3'")
+        sig1 = sigma_k(n, 1)
+        num, den = 5 * sigma_k(n, 3) + sig1 - 6 * n * sig1, 12
+    elif order == "deg3":
+        sig3 = sigma_k(n, 3)
+        num, den = 21 * sigma_k(n, 5) + 10 * sig3 - sigma_k(n, 1) - 30 * n * sig3, 240
+    else:
+        raise ValueError(f"unknown order {order!r}; expected 'deg1' or 'deg3'")
+    if num % den:
+        raise ArithmeticError(f"ramanujan_rhs({n}, {order!r}) is not an integer")
+    return num // den
 
 
 def useful_sum_knk(n: int) -> int:

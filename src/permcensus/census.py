@@ -70,8 +70,28 @@ def count_a2(n: int) -> int:
 _WEIGHT_TABLES: dict[int, list[int]] = {}
 
 
+def build_tables(bound: int) -> None:
+    """Build every table count_b reads, up to degree bound, at once.
+
+    A census over a range calls this with its last degree first, so that
+    no row regrows a table and no table overshoots the range.
+    """
+    partition_table(bound)
+    sigma_table(bound, 3)
+    _weight_table(1, bound)
+
+
+def _check_tables(n: int, *tables: list[int]) -> None:
+    """Refuse tables that end before n: map() would stop short without a word."""
+    if min(map(len, tables)) <= n:
+        raise ArithmeticError(f"a table ends before {n} (this is a bug)")
+
+
 def _weight_table(a: int, bound: int) -> list[int]:
-    """k^a * sigma(k) for k in 0..bound (cached, grow-on-demand)."""
+    """k^a * sigma(k) for k in 0..bound (cached, grown geometrically).
+
+    A longer table is built in full and published with one assignment.
+    """
     table = _WEIGHT_TABLES.get(a)
     if table is None or len(table) <= bound:
         top = max(bound, 2 * len(table) if table else 64)
@@ -90,9 +110,11 @@ def count_b(n: int) -> int:
     _check_degree(n)
     table = partition_table(n)
     sig3 = sigma_table(n, 3)
+    weights = _weight_table(1, n)
+    _check_tables(n, table, sig3, weights)
     rev = table[n - 1 :: -1]
     s3 = sum(map(operator.mul, sig3[1 : n + 1], rev))
-    s1 = sum(map(operator.mul, _weight_table(1, n)[1 : n + 1], rev))
+    s1 = sum(map(operator.mul, weights[1 : n + 1], rev))
     return _exact_div(3 * (s3 - 2 * s1 + n * table[n]), 8, f"count_b({n})")
 
 
@@ -113,6 +135,7 @@ def psi(a, n: int):
     table = partition_table(n)
     if isinstance(a, int):
         weights = _weight_table(a, n)
+        _check_tables(n, table, weights)
         return sum(map(operator.mul, weights[1 : n + 1], table[n - 1 :: -1]))
     sig = sigma_table(n)
     exponent = float(a)

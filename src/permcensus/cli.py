@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -61,12 +59,8 @@ def cmd_census(args) -> int:
               file=sys.stderr)
         return 2
     row_fn = _census_main_row if args.family == "main" else _census_cycles_row
-    degrees = range(args.start, args.stop + 1)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(row_fn, degrees))
-    else:
-        rows = [row_fn(n) for n in degrees]
+    census.build_tables(args.stop)
+    rows = [row_fn(n) for n in range(args.start, args.stop + 1)]
 
     header = _HEADERS[args.family]
     out = sys.stdout
@@ -102,8 +96,9 @@ def _suite_formulas(max_n: int, allow_n8: bool) -> list[str]:
     }
     for n in range(3, max_n + 1):
         fact = factorial(n)
+        counts = oracle.brute_counts(n, allow_n8=allow_n8)
         for family, formula in formulas.items():
-            brute = oracle.brute_count(n, family, allow_n8=allow_n8)
+            brute = counts[family]
             if brute % fact:
                 failures.append(f"{family}({n}) brute count not divisible by n!")
                 continue
@@ -159,28 +154,31 @@ def _suite_identities(max_n: int, allow_n8: bool) -> list[str]:
             for k in (0, 1, 2)
         ),
     )
+    # Each additive convolution sum over 0 < k < n, for every n in the range,
+    # is one coefficient of a single series product (slot 0 of sigma is 0).
     ram_bound = 5000
-    sig1 = arith.sigma_table(ram_bound)
-    sig3 = arith.sigma_table(ram_bound, 3)
-    ok1 = ok3 = True
-    for n in range(1, ram_bound + 1):
-        fwd = sig1[1:n]
-        rev1 = sig1[n - 1 : 0 : -1]
-        rev3 = sig3[n - 1 : 0 : -1]
-        if sum(map(operator.mul, fwd, rev1)) != arith.ramanujan_rhs(n, "deg1"):
-            ok1 = False
-            break
-        if sum(map(operator.mul, fwd, rev3)) != arith.ramanujan_rhs(n, "deg3"):
-            ok3 = False
-            break
-    _check(failures, "sigma convolution closed form deg1 (n <= 5000)", ok1)
-    _check(failures, "sigma convolution closed form deg3 (n <= 5000)", ok3)
-    _check(
-        failures,
-        "partition convolution identity (n <= 2000)",
-        all(partitions.sigma_partition_identity_check(n) for n in range(1, 2001)),
-    )
+    sig1 = arith.sigma_table(ram_bound)[: ram_bound + 1]
+    sig3 = arith.sigma_table(ram_bound, 3)[: ram_bound + 1]
+    for order, other in (("deg1", sig1), ("deg3", sig3)):
+        _check(failures, f"sigma convolution closed form {order} (n <= {ram_bound})",
+               _matches_ramanujan(arith.series_product(sig1, other), order))
+    # With P(0) = 1 the product's coefficient n also holds the k = n term
+    # sigma(n), so sum_{0<k<n} sigma(k) P(n-k) = n P(n) - sigma(n) reads
+    # coefficient n = n P(n).
+    part_bound = 2000
+    table = partitions.partition_table(part_bound)[: part_bound + 1]
+    conv = arith.series_product(sig1[: part_bound + 1], table)
+    _check(failures, f"partition convolution identity (n <= {part_bound})",
+           all(conv[n] == n * table[n] for n in range(1, part_bound + 1)))
     return failures
+
+
+def _matches_ramanujan(conv: list[int], order: str) -> bool:
+    """Whether conv[n] equals ramanujan_rhs(n, order) for every n >= 1 of conv."""
+    try:
+        return all(conv[n] == arith.ramanujan_rhs(n, order) for n in range(1, len(conv)))
+    except ArithmeticError:  # a closed form that is not an integer is wrong
+        return False
 
 
 def _euler_product(n: int, k: int) -> Fraction:
@@ -346,8 +344,15 @@ def cmd_verify(args) -> int:
     return 0 if all(not fails for fails in results.values()) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permcensus",
         description="Exact census of permutation pairs with 3-cycle commutators.",
     )
@@ -361,10 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--family", choices=("main", "cycles"), default="main",
                      help="main: all pairs; cycles: n-cycle and any-cycle families")
     cen.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
-    cen.add_argument("--threads", type=int,
-                     default=int(os.environ.get("PERMCENSUS_THREADS", "1")),
-                     help="worker threads for row computation (output is "
-                          "identical for any value)")
+    cen.add_argument("--threads", type=_thread_count,
+                     default=os.environ.get("PERMCENSUS_THREADS", "1"),
+                     help="accepted for compatibility and ignored: rows are "
+                          "computed in one thread (an integer >= 1; default "
+                          "$PERMCENSUS_THREADS or 1)")
     cen.set_defaults(func=cmd_census)
 
     ver = sub.add_parser("verify", help="run verification suites")
@@ -381,9 +387,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--threads or PERMCENSUS_THREADS) must be an integer "
+            f">= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader went away (census | head): stop quietly.  stdout now
+        # points at /dev/null, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -72,7 +72,12 @@ def minimal_block(group: GeneratedGroup, x: int, y: int) -> frozenset[int]:
         raise ValueError("x and y must be distinct points of 1..n")
     if not is_transitive(group):
         raise ValueError("minimal_block requires a transitive group")
+    return _minimal_block(group, x, y)
 
+
+def _minimal_block(group: GeneratedGroup, x: int, y: int) -> frozenset[int]:
+    """minimal_block without the argument and transitivity checks."""
+    n = group.degree
     parent = list(range(n + 1))
 
     def find(a: int) -> int:
@@ -110,7 +115,7 @@ def is_primitive(group: GeneratedGroup) -> bool:
     if not is_transitive(group):
         return False
     full = frozenset(range(1, n + 1))
-    return all(minimal_block(group, 1, y) == full for y in range(2, n + 1))
+    return all(_minimal_block(group, 1, y) == full for y in range(2, n + 1))
 
 
 def _p_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

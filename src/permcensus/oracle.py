@@ -17,6 +17,7 @@ from permcensus.partitions import enumerate_partitions
 from permcensus.perm import Permutation, conjugacy_class_size
 
 FAMILIES = ("B", "A", "B1", "A1", "B2", "A2")
+_GENERATING = ("A", "A1", "A2")
 
 _MAX_DEGREE = 8
 _MAX_FULL_DEGREE = 6
@@ -52,6 +53,13 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(img)
 
 
+def _check_degree(n: int, allow_n8: bool) -> None:
+    if not 3 <= n <= _MAX_DEGREE:
+        raise ValueError(f"degree must lie in 3..{_MAX_DEGREE}, got {n}")
+    if n == _MAX_DEGREE and not allow_n8:
+        raise ValueError("degree 8 is expensive; pass allow_n8=True to run it")
+
+
 def _s_filter(family: str, flag: tuple[int, ...]) -> bool:
     """Whether permutations of this cycle type can appear as s in the family."""
     if family in ("B1", "A1"):
@@ -85,14 +93,11 @@ def brute_count(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not 3 <= n <= _MAX_DEGREE:
-        raise ValueError(f"degree must lie in 3..{_MAX_DEGREE}, got {n}")
-    if n == _MAX_DEGREE and not allow_n8:
-        raise ValueError("degree 8 is expensive; pass allow_n8=True to run it")
+    _check_degree(n, allow_n8)
     if full and n > _MAX_FULL_DEGREE:
         raise ValueError(f"full double loop is limited to n <= {_MAX_FULL_DEGREE}")
 
-    need_generation = family in ("A", "A1", "A2")
+    need_generation = family in _GENERATING
     points = tuple(range(1, n + 1))
 
     def count_t_loop(s_img: tuple[int, ...]) -> int:
@@ -132,6 +137,37 @@ def brute_count(
         if progress is not None:
             progress(flag)
     return total
+
+
+def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
+    """brute_count(n, family) for every family, from one pass over the pairs.
+
+    The outer loop visits one representative s per cycle type, weighted by
+    its class size; the inner loop visits every t of S_n once.  Each
+    commutator is tested once, and generation is decided once per pair
+    whose commutator is a 3-cycle.  The subfamilies are picked out by the
+    same cycle-type filters as brute_count.
+    """
+    _check_degree(n, allow_n8)
+    pairs = [(t_img, _invert(t_img)) for t_img in all_images(range(1, n + 1))]
+    totals = dict.fromkeys(FAMILIES, 0)
+    for flag_list in enumerate_partitions(n):
+        flag = tuple(flag_list)
+        s_img = _rep_from_flag(flag, n)
+        s_inv = _invert(s_img)
+        s_perm = Permutation(s_img)
+        hits = generating = 0
+        for t_img, t_inv in pairs:
+            if not _commutator_moves_three(s_img, s_inv, t_img, t_inv):
+                continue
+            hits += 1
+            if groups.generates_alt_or_sym(s_perm, Permutation(t_img)) != groups.NEITHER:
+                generating += 1
+        size = conjugacy_class_size(flag)
+        for family in FAMILIES:
+            if _s_filter(family, flag):
+                totals[family] += size * (generating if family in _GENERATING else hits)
+    return totals
 
 
 def _flag_of(img: tuple[int, ...]) -> tuple[int, ...]:

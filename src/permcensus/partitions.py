@@ -12,14 +12,23 @@ _TABLE: list[int] = [1]
 
 
 def partition_table(bound: int) -> list[int]:
-    """P(0..bound) as a list, grown on demand by the pentagonal-number recurrence.
+    """P(0..bound) as a list, built by the pentagonal-number recurrence.
 
-    Treat the returned list as read-only; it is the shared module cache.
+    The module cache grows geometrically.  A longer table is built in a new
+    list and published with one assignment, so a caller in another thread
+    sees either the old complete table or the new one, never a half-grown
+    one.  Treat the returned list as read-only.
     """
+    global _TABLE
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    while len(_TABLE) <= bound:
-        n = len(_TABLE)
+    table = _TABLE
+    if len(table) > bound:
+        return table
+    table = list(table)
+    top = max(bound, 2 * (len(table) - 1))
+    while len(table) <= top:
+        n = len(table)
         total = 0
         j = 1
         while True:
@@ -27,13 +36,14 @@ def partition_table(bound: int) -> list[int]:
             if g1 > n:
                 break
             sign = 1 if j % 2 else -1
-            total += sign * _TABLE[n - g1]
+            total += sign * table[n - g1]
             g2 = j * (3 * j + 1) // 2
             if g2 <= n:
-                total += sign * _TABLE[n - g2]
+                total += sign * table[n - g2]
             j += 1
-        _TABLE.append(total)
-    return _TABLE
+        table.append(total)
+    _TABLE = table
+    return table
 
 
 def partition_count(n: int) -> int:

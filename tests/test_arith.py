@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from permcensus.arith import (
@@ -23,6 +23,7 @@ from permcensus.arith import (
     primes_up_to,
     ramanujan_rhs,
     seq_values,
+    series_product,
     sigma_k,
     sigma_table,
     useful_sum_knk,
@@ -240,6 +241,37 @@ def test_discrete_convolve_small_values():
     assert direct == 17
     assert discrete_convolve(SIG1, SIG1, 4) == 17
     assert ramanujan_rhs(4, "deg1") == 17
+
+
+def naive_product(f, g):
+    return [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(len(f))]
+
+
+# Entries are small, or at least 10^80, so that slots are both narrow and wide.
+COEFFICIENTS = st.one_of(st.integers(0, 9), st.integers(10**80, 10**100))
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda length: st.tuples(st.lists(COEFFICIENTS, min_size=length, max_size=length),
+                             st.lists(COEFFICIENTS, min_size=length, max_size=length))))
+@example(([7], [6]))
+@example(([0] * 5, [0] * 5))
+@example(([0] * 5, [3, 1, 4, 1, 5]))
+@example(([9] * 3, [9] * 3))  # the top coefficient, 243, fills its slot
+@example(([10**100] * 4, [10**100 - 1] * 4))
+def test_series_product_matches_double_loop(pair):
+    f, g = pair
+    assert series_product(f, g) == naive_product(f, g)
+
+
+def test_series_product_validation():
+    assert series_product([], []) == []
+    with pytest.raises(ValueError):
+        series_product([1, 2], [1])
+    with pytest.raises(ValueError):
+        series_product([1, -2], [1, 2])
+    with pytest.raises(ValueError):
+        series_product([1, 2], [-1, 2])
 
 
 def test_ramanujan_formulas_exactly():

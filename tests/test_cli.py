@@ -1,6 +1,8 @@
 """Command-line interface: output formats, argument handling, verify suites."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from permcensus.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "data" / "census_main.golden"
+REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 
 EXPECTED_SMALL = """\
 3 3 3 1.00000
@@ -111,6 +114,12 @@ def test_verify_formulas_ok(capsys):
     assert "running suite formulas" in err
 
 
+def test_verify_identities_ok(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suites", "identities", "--json")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"identities": {"passed": True, "failures": []}}
+
+
 def test_verify_characters_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suites", "characters", "--max-n", "3", "--json"
@@ -144,3 +153,51 @@ def test_module_entry_point():
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def run_module(*argv, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "permcensus", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permcensus", "census", "--to", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # like `census --to 3000 | head -1`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert first == b"3 3 3 1.00000\n"
+    assert err == b""
+
+
+def test_bad_thread_count_from_environment_is_a_usage_error():
+    result = run_module("census", "--to", "5", env=os.environ | {"PERMCENSUS_THREADS": "abc"})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "PERMCENSUS_THREADS" in result.stderr and "'abc'" in result.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_a_usage_error(threads):
+    result = run_module("census", "--to", "5", "--threads", threads)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "--threads" in result.stderr and repr(threads) in result.stderr
+
+
+def test_wide_census_matches_recorded_digest():
+    """census --to 5000, far past the golden file's 255, pinned by its sha256."""
+    result = subprocess.run(
+        [sys.executable, "-m", "permcensus", "census", "--to", "5000"], capture_output=True
+    )
+    assert result.returncode == 0
+    want = json.loads(REFERENCE.read_text())["census_to_5000_sha256"]
+    assert hashlib.sha256(result.stdout).hexdigest() == want

@@ -8,6 +8,7 @@ from permcensus.census import census_row
 from permcensus.oracle import (
     FAMILIES,
     brute_count,
+    brute_counts,
     brute_triple_counts,
     brute_twist_count,
 )
@@ -42,6 +43,20 @@ def test_class_collapse_agrees_with_plain_double_loop(n, family):
 @pytest.mark.parametrize("family", ["B", "A1"])
 def test_class_collapse_agrees_at_six(family):
     assert brute_count(6, family, full=True) == brute_count(6, family)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_single_pass_matches_per_family_counts(n):
+    assert brute_counts(n) == {family: brute_count(n, family) for family in FAMILIES}
+
+
+def test_single_pass_argument_validation():
+    with pytest.raises(ValueError):
+        brute_counts(2)
+    with pytest.raises(ValueError):
+        brute_counts(9)
+    with pytest.raises(ValueError):
+        brute_counts(8)  # needs allow_n8=True
 
 
 def test_argument_validation():

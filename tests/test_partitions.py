@@ -1,9 +1,13 @@
 """Partition counting, enumeration and the divisor-sum identity."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permcensus import partitions
 from permcensus.arith import sigma_k
 from permcensus.partitions import (
     PartitionTable,
@@ -115,3 +119,33 @@ def test_sigma_partition_identity_explicitly():
     for n in range(1, 61):
         lhs = sum(sigma_k(k, 1) * table[n - k] for k in range(1, n))
         assert lhs == n * table[n] - sigma_k(n, 1)
+
+
+def test_partition_table_grown_from_many_threads(monkeypatch):
+    """Threads growing the shared table at once must leave it as one thread would."""
+    bound = 1500
+    monkeypatch.setattr(partitions, "_TABLE", [1])
+    results = {}
+
+    def grow(index):
+        for b in range(bound + 1):
+            table = partition_table(b)
+        results[index] = table[: bound + 1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    shared = partition_table(bound)[: bound + 1]
+    monkeypatch.setattr(partitions, "_TABLE", [1])
+    sequential = partition_table(bound)
+    assert shared == sequential
+    assert all(table == sequential for table in results.values())
+    assert len(results) == 8

@@ -2,13 +2,15 @@
 
 Everything is exact: functions return plain integers where the value is
 an integer and fractions.Fraction otherwise.  Tabulated sequences
-(ArithSeq) hold Fraction values so that Dirichlet inverses stay closed
-under the operations.
+(ArithSeq) hold ints, and Fractions only where a value is not an integer:
+convolutions of integer sequences stay integers, and so does the
+Dirichlet inverse of an integer sequence with f(1) = +-1.
 """
 
 from __future__ import annotations
 
 import decimal
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -135,11 +137,11 @@ def sigma_table(bound: int, k: int = 1) -> list[int]:
 class ArithSeq:
     """An arithmetic function eagerly tabulated on 1..bound.
 
-    values[n] is f(n); slot 0 is unused padding so that indices match
-    arguments.
+    values[n] is f(n), an int or a Fraction (never a float); slot 0 is
+    unused padding so that indices match arguments.
     """
 
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.values) < 2:
@@ -147,18 +149,16 @@ class ArithSeq:
 
     @classmethod
     def tabulate(cls, func: Callable[[int], int | Fraction], bound: int) -> "ArithSeq":
-        """Tabulate func on 1..bound."""
+        """Tabulate func on 1..bound; ints are kept, other values become Fractions."""
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
-        vals = [Fraction(0)]
-        vals.extend(Fraction(func(n)) for n in range(1, bound + 1))
-        return cls(tuple(vals))
+        return cls((0, *map(_exact, map(func, range(1, bound + 1)))))
 
     @property
     def bound(self) -> int:
         return len(self.values) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 1 <= n <= self.bound:
             raise IndexError(f"n = {n} outside tabulated range 1..{self.bound}")
         return self.values[n]
@@ -166,9 +166,12 @@ class ArithSeq:
     def pointwise(self, other: "ArithSeq") -> "ArithSeq":
         """The pointwise product (f.g)(n) = f(n) g(n)."""
         _check_same_bound(self, other)
-        vals = [Fraction(0)]
-        vals.extend(a * b for a, b in zip(self.values[1:], other.values[1:]))
-        return ArithSeq(tuple(vals))
+        return ArithSeq((0, *map(operator.mul, self.values[1:], other.values[1:])))
+
+
+def _exact(value: int | Fraction | float) -> int | Fraction:
+    """An int as it is; anything else as the Fraction of its exact value."""
+    return value if isinstance(value, int) else Fraction(value)
 
 
 def _check_same_bound(f: ArithSeq, g: ArithSeq) -> None:
@@ -182,14 +185,14 @@ def dirichlet_convolve(f: ArithSeq, g: ArithSeq, bound: int | None = None) -> Ar
     n_max = f.bound if bound is None else bound
     if not 1 <= n_max <= f.bound:
         raise ValueError(f"bound mismatch: requested {n_max}, tabulated {f.bound}")
-    out = [Fraction(0)] * (n_max + 1)
+    out = [0] * (n_max + 1)
     fv, gv = f.values, g.values
     for d in range(1, n_max + 1):
         fd = fv[d]
         if not fd:
             continue
-        for m in range(d, n_max + 1, d):
-            out[m] += fd * gv[m // d]
+        for q, m in enumerate(range(d, n_max + 1, d), 1):
+            out[m] += fd * gv[q]
     return ArithSeq(tuple(out))
 
 
@@ -198,31 +201,39 @@ def dirichlet_inverse(f: ArithSeq, bound: int | None = None) -> ArithSeq:
 
     Built by the recurrence g(1) = 1/f(1) and, for n > 1,
     g(n) = -(1/f(1)) * sum over proper divisors d of n of g(d) f(n/d).
+    The sum reaching n is complete once every d < n is done, so each g(d)
+    is added to the sums of its multiples as soon as it is known.  When
+    f(1) = +-1, 1/f(1) = f(1) and an integer f has an integer inverse;
+    otherwise 1/f(1) is a Fraction.
     """
-    if f.values[1] == 0:
+    lead = f.values[1]
+    if lead == 0:
         raise ValueError("not invertible: f(1) = 0")
     n_max = f.bound if bound is None else bound
     if not 1 <= n_max <= f.bound:
         raise ValueError(f"bound mismatch: requested {n_max}, tabulated {f.bound}")
-    lead = f.values[1]
-    inv = [Fraction(0)] * (n_max + 1)
-    inv[1] = Fraction(1) / lead
-    for n in range(2, n_max + 1):
-        acc = sum((inv[d] * f.values[n // d] for d in divisors(n) if d < n), Fraction(0))
-        inv[n] = -acc / lead
+    inv_lead = lead if lead in (1, -1) else 1 / Fraction(lead)
+    fv = f.values
+    acc = [0] * (n_max + 1)
+    inv = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        gd = inv_lead if d == 1 else -acc[d] * inv_lead
+        inv[d] = gd
+        if not gd:
+            continue
+        for q, m in enumerate(range(2 * d, n_max + 1, d), 2):
+            acc[m] += gd * fv[q]
     return ArithSeq(tuple(inv))
 
 
-def discrete_convolve(f: ArithSeq, g: ArithSeq, n: int) -> Fraction:
+def discrete_convolve(f: ArithSeq, g: ArithSeq, n: int) -> int | Fraction:
     """The additive convolution sum over 0 < k < n of f(k) g(n-k); zero at n = 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return Fraction(0)
-    if f.bound < n - 1 or g.bound < n - 1:
+    if n > 1 and (f.bound < n - 1 or g.bound < n - 1):
         raise ValueError(f"operands must be tabulated on 1..{n - 1}")
     fv, gv = f.values, g.values
-    return sum((fv[k] * gv[n - k] for k in range(1, n)), Fraction(0))
+    return sum(fv[k] * gv[n - k] for k in range(1, n))
 
 
 def series_product(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -297,16 +308,15 @@ def _falling_sum(n: int, r: int) -> int:
 
 
 def moebius_scaled_divisor_sum(n: int, k: int) -> Fraction:
-    """sum over d | n of mu(d) / d^k, equal to prod over p | n of (1 - p^-k)."""
+    """sum over d | n of mu(d) / d^k, equal to prod over p | n of (1 - p^-k).
+
+    Computed as one Fraction: (sum over d | n of mu(d) (n/d)^k) / n^k.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return sum(
-        (Fraction(moebius(d), d**k) for d in divisors(n)), Fraction(0)
-    )
+    return Fraction(sum(moebius(d) * (n // d) ** k for d in divisors(n)), n**k)
 
 
 def seq_values(values: Iterable[int]) -> ArithSeq:
     """ArithSeq from explicit values f(1), f(2), ... (convenience wrapper)."""
-    vals = [Fraction(0)]
-    vals.extend(Fraction(v) for v in values)
-    return ArithSeq(tuple(vals))
+    return ArithSeq((0, *map(_exact, values)))

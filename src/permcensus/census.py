@@ -23,7 +23,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from permcensus.arith import jordan_totient, sigma_table
+from permcensus.arith import jordan_totient, series_product, sigma_table
 from permcensus.partitions import partition_table
 
 
@@ -127,11 +127,13 @@ def count_a(n: int) -> int:
 def psi(a, n: int):
     """psi_a(n) = sum over 1 <= k <= n of k^a sigma(k) P(n-k).
 
-    Exact (an integer) for integer a; for non-integer a the powers k^a
-    are evaluated in floating point and the float result is approximate.
+    Exact (an integer) for integer a >= 0; for non-integer a the powers
+    k^a are evaluated in floating point and the float result is approximate.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(a, int) and a < 0:
+        raise ValueError(f"psi needs a >= 0 when a is an integer, got a = {a}")
     table = partition_table(n)
     if isinstance(a, int):
         weights = _weight_table(a, n)
@@ -140,6 +142,29 @@ def psi(a, n: int):
     sig = sigma_table(n)
     exponent = float(a)
     return sum(k**exponent * sig[k] * table[n - k] for k in range(1, n + 1))
+
+
+def _psi_series(a: int, bound: int) -> list[int]:
+    """psi(a, n) for every n in 0..bound (a >= 0), read off one series product.
+
+    Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of the product
+    with P is exactly the sum over 1 <= k <= n.
+    """
+    weights = _weight_table(a, bound)[: bound + 1]
+    return series_product(weights, partition_table(bound)[: bound + 1])
+
+
+def _psi_floats(exponent: float, bound: int) -> list[float]:
+    """psi(exponent, n) for every n in 1..bound (slot 0 is unused), as floats.
+
+    The weights k^exponent sigma(k) are built once; every sum keeps psi's
+    terms and their order, so each value equals psi(exponent, n) bit for bit.
+    """
+    sig = sigma_table(bound)
+    table = partition_table(bound)
+    weights = [0.0, *(k**exponent * sig[k] for k in range(1, bound + 1))]
+    return [0.0, *(sum(map(operator.mul, weights[1 : n + 1], table[n - 1 :: -1]))
+                   for n in range(1, bound + 1))]
 
 
 @dataclass(frozen=True)
@@ -268,19 +293,20 @@ def bound_report(n_max: int, epsilon: float = 0.5) -> BoundReport:
         "generating_lower": [],
     }
     table = partition_table(n_max)
+    psis = {a_exp: _psi_series(a_exp, n_max) for a_exp in (0, 1, 2)}
+    psi_eps = _psi_floats(2 - epsilon, n_max)
     for n in range(3, n_max + 1):
         p_n = table[n]
         b_n = count_b(n)
         a_n = count_a(n)
-        if not 8 * b_n < 3 * psi(2, n):
+        if not 8 * b_n < 3 * psis[2][n]:
             strict["commutator_upper"].append(n)
         if not 8 * a_n < 3 * n**3:
             strict["generating_upper"].append(n)
-        for a_exp in (0, 1, 2):
-            value = psi(a_exp, n)
-            if not n * p_n <= value <= n ** (a_exp + 1) * p_n:
+        for a_exp, values in psis.items():
+            if not n * p_n <= values[n] <= n ** (a_exp + 1) * p_n:
                 strict[f"sandwich_a{a_exp}"].append(n)
-        if not psi(2 - epsilon, n) < b_n:
+        if not psi_eps[n] < b_n:
             eps_fail["commutator_lower"].append(n)
         if not n ** (3 - epsilon) < a_n:
             eps_fail["generating_lower"].append(n)

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from permcensus import arith, census, characters, groups, oracle, origami, partitions
 from permcensus.census import significant_digits
@@ -182,10 +182,9 @@ def _matches_ramanujan(conv: list[int], order: str) -> bool:
 
 
 def _euler_product(n: int, k: int) -> Fraction:
-    prod = Fraction(1)
-    for p, _ in arith.factorize(n):
-        prod *= 1 - Fraction(1, p**k)
-    return prod
+    """prod over p | n of (1 - p^-k), as one Fraction prod(p^k - 1) / prod(p^k)."""
+    powers = [p**k for p, _ in arith.factorize(n)]
+    return Fraction(prod(pk - 1 for pk in powers), prod(powers))
 
 
 def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
@@ -327,7 +326,7 @@ def cmd_verify(args) -> int:
         print("verify: --max-n 8 needs --allow-n8", file=sys.stderr)
         return 2
     results = {}
-    for name in args.suites:
+    for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order
         print(f"running suite {name} ...", file=sys.stderr)
         failures = _SUITES[name](args.max_n, args.allow_n8)
         results[name] = failures

@@ -79,28 +79,43 @@ def _minimal_block(group: GeneratedGroup, x: int, y: int) -> frozenset[int]:
     """minimal_block without the argument and transitivity checks."""
     n = group.degree
     parent = list(range(n + 1))
+    _merge_closure([g.image for g in group.generators], parent, x, y)
+    root = _find(parent, x)
+    return frozenset(p for p in range(1, n + 1) if _find(parent, p) == root)
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
 
-    images = [g.image for g in group.generators]
+def _find(parent: list[int], a: int) -> int:
+    """The root of a's class, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
+
+
+def _merge_closure(images: list[tuple[int, ...]], parent: list[int], x: int, y: int) -> int:
+    """Merge the classes of x and y, then close the union-find under the generators.
+
+    Whenever the classes of u and v merge, the classes of g(u) and g(v) are
+    merged too, for every generator image g.  Returns the number of merges;
+    it stops as soon as len(parent) - 2 merges have made one class of 1..n.
+    """
+    full = len(parent) - 2
+    merges = 0
     queue = [(x, y)]
     while queue:
         u, v = queue.pop()
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        while parent[u] != u:  # _find inlined: this loop is the hot path of verify
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             continue
-        parent[rv] = ru
+        parent[v] = u
+        merges += 1
+        if merges == full:
+            break
         for img in images:
-            queue.append((img[ru - 1], img[rv - 1]))
-
-    root = find(x)
-    return frozenset(p for p in range(1, n + 1) if find(p) == root)
+            queue.append((img[u - 1], img[v - 1]))
+    return merges
 
 
 def is_primitive(group: GeneratedGroup) -> bool:
@@ -108,14 +123,17 @@ def is_primitive(group: GeneratedGroup) -> bool:
 
     It suffices to check the blocks generated by {1, y}: a nontrivial
     block through any pair maps to one through the point 1 by transitivity.
+    Each such block is the whole set exactly when its closure makes n - 1
+    merges.
     """
     n = group.degree
     if n < 2:
         raise ValueError(f"primitivity needs degree >= 2, got {n}")
     if not is_transitive(group):
         return False
-    full = frozenset(range(1, n + 1))
-    return all(_minimal_block(group, 1, y) == full for y in range(2, n + 1))
+    images = [g.image for g in group.generators]
+    return all(_merge_closure(images, list(range(n + 1)), 1, y) == n - 1
+               for y in range(2, n + 1))
 
 
 def _p_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -242,10 +260,7 @@ def jordan_route(s: Permutation, t: Permutation) -> str | None:
     the order route must decide.
     """
     n = _common_degree(s, t)
-    group = GeneratedGroup(n, (s, t))
-    if not is_transitive(group):
-        return NEITHER
-    if not is_primitive(group):
+    if not is_primitive(GeneratedGroup(n, (s, t))):
         return NEITHER
     if not _is_three_cycle(commutator(s, t)):
         return None

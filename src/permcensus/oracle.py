@@ -8,6 +8,7 @@ must be requested explicitly.
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations as all_images
 from math import gcd
 from typing import Callable
@@ -147,18 +148,24 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     commutator is tested once, and generation is decided once per pair
     whose commutator is a 3-cycle.  The subfamilies are picked out by the
     same cycle-type filters as brute_count.
+
+    [s, t] = s t s^-1 t^-1 moves the point t(y) exactly when
+    t(s^-1(y)) != s^-1(t(y)), so the number of points it moves is the
+    number of places where the images of t s^-1 and s^-1 t differ.
     """
     _check_degree(n, allow_n8)
-    pairs = [(t_img, _invert(t_img)) for t_img in all_images(range(1, n + 1))]
+    images = list(all_images(range(1, n + 1)))
     totals = dict.fromkeys(FAMILIES, 0)
     for flag_list in enumerate_partitions(n):
         flag = tuple(flag_list)
         s_img = _rep_from_flag(flag, n)
         s_inv = _invert(s_img)
+        after_s_inv = operator.itemgetter(*(y - 1 for y in s_inv))  # t -> t s^-1
+        s_inv_of = (0, *s_inv).__getitem__  # 1-based s^-1
         s_perm = Permutation(s_img)
         hits = generating = 0
-        for t_img, t_inv in pairs:
-            if not _commutator_moves_three(s_img, s_inv, t_img, t_inv):
+        for t_img in images:
+            if sum(map(operator.ne, after_s_inv(t_img), map(s_inv_of, t_img))) != 3:
                 continue
             hits += 1
             if groups.generates_alt_or_sym(s_perm, Permutation(t_img)) != groups.NEITHER:

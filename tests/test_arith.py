@@ -194,11 +194,34 @@ def test_unit_element(f):
 
 
 @given(st.lists(st.integers(-9, 9), min_size=48, max_size=48))
+@example([-1, 2, -3, 0, 5] + [1] * 43)  # f(1) = -1: the inverse is integral with 1/f(1) = -1
+@example([2, 1] + [0] * 46)
 def test_inverse_roundtrip(values):
     assume(values[0] != 0)
     f = seq_values(values)
     eps = ArithSeq.tabulate(lambda n: 1 if n == 1 else 0, f.bound)
     assert dirichlet_convolve(f, dirichlet_inverse(f)) == eps
+
+
+@given(st.lists(st.integers(-9, 9), min_size=48, max_size=48))
+def test_sequences_stay_integral_where_they_can(values):
+    """Integer sequences convolve to ints; the inverse is int iff f(1) = +-1, never float."""
+    assume(values[0] != 0)
+    f = seq_values(values)
+    for seq in (f, dirichlet_convolve(f, f), f.pointwise(f)):
+        assert all(type(v) is int for v in seq.values)
+    inverse = dirichlet_inverse(f).values[1:]
+    kind = int if values[0] in (1, -1) else Fraction
+    assert all(type(v) is kind for v in inverse)
+
+
+def test_non_integer_values_become_exact_fractions():
+    halves = ArithSeq.tabulate(lambda n: n / 2, 4)
+    assert halves.values[1:] == (Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert all(type(v) is Fraction for v in halves.values[1:])
+    one = ArithSeq(ONE.values[:5])
+    assert all(type(v) is Fraction for v in dirichlet_convolve(halves, one).values[1:])
+    assert seq_values([Fraction(1, 3), 2]).values == (0, Fraction(1, 3), 2)
 
 
 def test_inverse_of_one_is_moebius():

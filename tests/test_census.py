@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permcensus import census
 from permcensus.arith import first_primes, jordan_totient, primes_up_to, sigma_k
 from permcensus.census import (
     bound_report,
@@ -110,6 +111,21 @@ def test_psi_float_path():
         assert psi(1, n) < value < psi(2, n)
     with pytest.raises(ValueError):
         psi(2, 0)
+
+
+def test_psi_rejects_negative_integer_exponent():
+    with pytest.raises(ValueError, match="a = -1"):
+        psi(-1, 10)
+    assert -1 not in census._WEIGHT_TABLES
+
+
+def test_psi_sweeps_of_bound_report_match_psi():
+    """The whole-range psi values bound_report reads equal psi at every degree."""
+    bound = 400
+    for a in (0, 1, 2):
+        assert census._psi_series(a, bound)[1:] == [psi(a, n) for n in range(1, bound + 1)]
+    # bit for bit, so the epsilon failures cannot move
+    assert census._psi_floats(1.5, bound)[1:] == [psi(1.5, n) for n in range(1, bound + 1)]
 
 
 def test_census_row_and_probabilities():

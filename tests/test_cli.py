@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from permcensus.cli import build_parser, main
+from permcensus.cli import SUITE_NAMES, build_parser, main
 
 GOLDEN = Path(__file__).parent / "data" / "census_main.golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
@@ -127,6 +127,27 @@ def test_verify_characters_json(capsys):
     assert code == 0
     summary = json.loads(out.splitlines()[-1])
     assert summary == {"characters": {"passed": True, "failures": []}}
+
+
+def test_verify_runs_a_repeated_suite_once(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suites", "characters", "formulas", "characters",
+        "--max-n", "4", "--json",
+    )
+    assert code == 0
+    assert out.count("suite characters: ok") == 1
+    assert err.count("running suite characters") == 1
+    assert err.index("running suite characters") < err.index("running suite formulas")
+    assert list(json.loads(out.splitlines()[-1])) == ["characters", "formulas"]
+
+
+def test_verify_deep_all_suites_pass(capsys):
+    """verify --max-n 7 --json, every suite, as the verify-deep benchmark runs it."""
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "7", "--json")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {
+        name: {"passed": True, "failures": []} for name in SUITE_NAMES
+    }
 
 
 def test_verify_argument_validation(capsys):

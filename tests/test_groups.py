@@ -44,19 +44,25 @@ SMALL_GROUPS = [K4, S3, C4, C5, C6, D4, A4]
 
 def enumerate_blocks(group):
     """All blocks of a transitive group by brute force over subsets."""
-    elements = element_closure(group)
+    # The generators are elements too: checking them first rejects most
+    # subsets before the whole group is walked.
+    gens = [g.image for g in group.generators]
+    elements = [g.image for g in element_closure(group)]
     n = group.degree
     found = []
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
             delta = frozenset(subset)
-            if all(
-                frozenset(g(x) for x in delta) == delta
-                or not (frozenset(g(x) for x in delta) & delta)
-                for g in elements
+            if all(_maps_onto_or_off(img, delta) for img in gens) and all(
+                _maps_onto_or_off(img, delta) for img in elements
             ):
                 found.append(delta)
     return found
+
+
+def _maps_onto_or_off(image, delta):
+    moved = frozenset(image[x - 1] for x in delta)
+    return moved == delta or not (moved & delta)
 
 
 def test_orbit_examples():
@@ -132,6 +138,50 @@ def test_primitivity_against_block_enumeration(group):
     assert is_primitive(group) == (is_transitive(group) and trivial)
     if is_primitive(group) and group.degree > 2:
         assert is_transitive(group)
+
+
+@st.composite
+def two_generator_groups(draw):
+    """A group generated by two random permutations of degree 2..8."""
+    n = draw(st.integers(2, 8))
+    s, t = (Permutation(tuple(draw(st.permutations(range(1, n + 1))))) for _ in range(2))
+    return generated(s, t)
+
+
+@st.composite
+def block_preserving_groups(draw):
+    """The n-cycle with a t that permutes the residue classes mod d, 1 < d < n, d | n.
+
+    Both generators map the classes onto each other, so the group is
+    transitive and imprimitive.
+    """
+    n = draw(st.sampled_from([4, 6, 8]))
+    d = draw(st.sampled_from([d for d in range(2, n) if n % d == 0]))
+    classes = draw(st.permutations(range(d)))
+    within = [draw(st.permutations(range(n // d))) for _ in range(d)]
+    # point x + 1 lies in class x % d, at position x // d of that class
+    image = tuple(classes[x % d] + d * within[x % d][x // d] + 1 for x in range(n))
+    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+    return generated(cycle, Permutation(image))
+
+
+def primitive_by_enumeration(group):
+    blocks = enumerate_blocks(group)
+    return is_transitive(group) and all(len(b) in (1, group.degree) for b in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_generator_groups())
+def test_is_primitive_matches_block_enumeration(group):
+    assert is_primitive(group) == primitive_by_enumeration(group)
+
+
+@settings(max_examples=25, deadline=None)
+@given(block_preserving_groups())
+def test_is_primitive_on_constructed_imprimitive_groups(group):
+    assert is_transitive(group)
+    assert not primitive_by_enumeration(group)
+    assert not is_primitive(group)
 
 
 def test_group_order_examples():

@@ -7,19 +7,10 @@ arbitrary cycle, and the further subfamilies whose pair generates the
 alternating or symmetric group.  Every closed-form count is exact
 (integer / Fraction arithmetic throughout) and is cross-checked against
 brute-force enumeration at small degrees.
-"""
 
-from permcensus import (
-    arith,
-    census,
-    characters,
-    cli,
-    groups,
-    oracle,
-    origami,
-    partitions,
-    perm,
-)
+Importing the package loads no submodule: `census` loads only what its rows
+need, and `from permcensus import *` imports every module in __all__.
+"""
 
 __all__ = [
     "arith",
@@ -31,4 +22,5 @@ __all__ = [
     "origami",
     "partitions",
     "perm",
+    "verify",
 ]

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import decimal
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -133,19 +132,38 @@ def sigma_table(bound: int, k: int = 1) -> list[int]:
     return table
 
 
-@dataclass(frozen=True)
 class ArithSeq:
-    """An arithmetic function eagerly tabulated on 1..bound.
+    """An arithmetic function eagerly tabulated on 1..bound, immutable.
 
     values[n] is f(n), an int or a Fraction (never a float); slot 0 is
-    unused padding so that indices match arguments.
+    unused padding so that indices match arguments.  Two sequences are
+    equal when their values are.
     """
 
+    __slots__ = ("values",)
     values: tuple[int | Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.values) < 2:
+    def __init__(self, values: tuple[int | Fraction, ...]):
+        if len(values) < 2:
             raise ValueError("ArithSeq needs at least the value at n = 1")
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ArithSeq is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ArithSeq is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not ArithSeq:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"ArithSeq(values={self.values!r})"
 
     @classmethod
     def tabulate(cls, func: Callable[[int], int | Fraction], bound: int) -> "ArithSeq":
@@ -277,34 +295,20 @@ def ramanujan_rhs(n: int, order: str) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return _ramanujan_from_sigmas(n, order, sigma_k(n, 1), sigma_k(n, 3), sigma_k(n, 5))
+
+
+def _ramanujan_from_sigmas(n: int, order: str, sig1: int, sig3: int, sig5: int) -> int:
+    """ramanujan_rhs(n, order) from sigma_1(n), sigma_3(n) and sigma_5(n)."""
     if order == "deg1":
-        sig1 = sigma_k(n, 1)
-        num, den = 5 * sigma_k(n, 3) + sig1 - 6 * n * sig1, 12
+        num, den = 5 * sig3 + sig1 - 6 * n * sig1, 12
     elif order == "deg3":
-        sig3 = sigma_k(n, 3)
-        num, den = 21 * sigma_k(n, 5) + 10 * sig3 - sigma_k(n, 1) - 30 * n * sig3, 240
+        num, den = 21 * sig5 + 10 * sig3 - sig1 - 30 * n * sig3, 240
     else:
         raise ValueError(f"unknown order {order!r}; expected 'deg1' or 'deg3'")
     if num % den:
         raise ArithmeticError(f"ramanujan_rhs({n}, {order!r}) is not an integer")
     return num // den
-
-
-def useful_sum_knk(n: int) -> int:
-    """sum over k = 2..n of k(n-k), in closed form (n+3)(n-1)(n-2)/6."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return (n + 3) * (n - 1) * (n - 2) // 6
-
-
-def _falling_sum(n: int, r: int) -> int:
-    """sum over k = 1..n of k(k-1)...(k-r), telescoped to (n+1)n...(n-r)/(r+2)."""
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
-    num = 1
-    for j in range(n - r, n + 2):
-        num *= j
-    return num // (r + 2)
 
 
 def moebius_scaled_divisor_sum(n: int, k: int) -> Fraction:
@@ -315,8 +319,3 @@ def moebius_scaled_divisor_sum(n: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return Fraction(sum(moebius(d) * (n // d) ** k for d in divisors(n)), n**k)
-
-
-def seq_values(values: Iterable[int]) -> ArithSeq:
-    """ArithSeq from explicit values f(1), f(2), ... (convenience wrapper)."""
-    return ArithSeq((0, *map(_exact, values)))

@@ -18,7 +18,7 @@ never rounding.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
@@ -167,17 +167,10 @@ def _psi_floats(exponent: float, bound: int) -> list[float]:
                    for n in range(1, bound + 1))]
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
     """All six normalized family counts at one degree."""
 
-    n: int
-    b: int
-    a: int
-    b1: int
-    a1: int
-    b2: int
-    a2: int
+    __slots__ = ()
 
     @property
     def p1(self) -> Fraction:
@@ -208,20 +201,10 @@ def census_row(n: int) -> CensusRow:
     )
 
 
-def census_rows(start: int, stop: int):
-    """CensusRow for each n in start..stop inclusive."""
-    if start > stop:
-        raise ValueError(f"empty range {start}..{stop}")
-    for n in range(start, stop + 1):
-        yield census_row(n)
-
-
-@dataclass(frozen=True)
-class DiagnosticPoint:
+class DiagnosticPoint(namedtuple("DiagnosticPoint", "n exact")):
     """One sampled value of a probability diagnostic, exact plus rendered."""
 
-    n: int
-    exact: Fraction
+    __slots__ = ()
 
     @property
     def decimal(self) -> str:
@@ -251,20 +234,17 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
     return out
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "n_max epsilon strict_failures epsilon_failures")):
     """Outcome of the inequality sweep over 3..n_max.
 
     strict_failures lists degrees violating inequalities that must hold
     at every n (empty means all good); epsilon_failures lists degrees
     where the for-large-n lower bounds (sampled at one epsilon) have not
-    kicked in yet -- informational only.
+    kicked in yet -- informational only.  Both map a bound's name to a
+    list of degrees.
     """
 
-    n_max: int
-    epsilon: float
-    strict_failures: dict[str, list[int]]
-    epsilon_failures: dict[str, list[int]]
+    __slots__ = ()
 
     def all_strict_hold(self) -> bool:
         return not any(self.strict_failures.values())

@@ -1,4 +1,4 @@
-"""Command-line interface: census tables and verification suites.
+"""Command-line interface: the argument parser and the census tables.
 
 Census rows reproduce the two classical report layouts:
 
@@ -8,18 +8,20 @@ Census rows reproduce the two classical report layouts:
 
 Counts are exact integers; probabilities carry six significant digits.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+Importing this module loads census, arith and partitions, and no other
+module of the package.  The verification suites live in verify.py, which
+the `verify` subcommand imports when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from math import factorial, gcd, prod
 
-from permcensus import arith, census, characters, groups, oracle, origami, partitions
+from permcensus import census, partitions
 from permcensus.census import significant_digits
 
 DEFAULT_FROM = 3
@@ -72,275 +74,18 @@ def cmd_census(args) -> int:
         for row in rows:
             out.write(",".join(str(field) for field in row) + "\n")
     else:
+        import json
+
         for row in rows:
             record = dict(zip(header, row))
             out.write(json.dumps(record, separators=(",", ":")) + "\n")
     return 0
 
 
-def _check(failures: list[str], label: str, ok: bool) -> None:
-    if not ok:
-        failures.append(label)
+def _cmd_verify(args) -> int:
+    from permcensus import verify
 
-
-def _suite_formulas(max_n: int, allow_n8: bool) -> list[str]:
-    """Closed formulas vs brute-force enumeration, every family, 3..max_n."""
-    failures: list[str] = []
-    formulas = {
-        "B": census.count_b,
-        "A": census.count_a,
-        "B1": census.count_b1,
-        "A1": census.count_a1,
-        "B2": census.count_b2,
-        "A2": census.count_a2,
-    }
-    for n in range(3, max_n + 1):
-        fact = factorial(n)
-        counts = oracle.brute_counts(n, allow_n8=allow_n8)
-        for family, formula in formulas.items():
-            brute = counts[family]
-            if brute % fact:
-                failures.append(f"{family}({n}) brute count not divisible by n!")
-                continue
-            _check(failures, f"{family}({n}) formula vs oracle",
-                   formula(n) == brute // fact)
-    return failures
-
-
-def _suite_identities(max_n: int, allow_n8: bool) -> list[str]:
-    """Convolution identity chains, inverse pairs, and closed-form checks."""
-    failures: list[str] = []
-    bound = 500
-    seqs = {
-        "one": arith.ArithSeq.tabulate(lambda n: 1, bound),
-        "id1": arith.ArithSeq.tabulate(lambda n: n, bound),
-        "id2": arith.ArithSeq.tabulate(lambda n: n * n, bound),
-        "id3": arith.ArithSeq.tabulate(lambda n: n**3, bound),
-        "mu": arith.ArithSeq.tabulate(arith.moebius, bound),
-        "eps": arith.ArithSeq.tabulate(lambda n: int(n == 1), bound),
-        "tau": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 0), bound),
-        "sigma1": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 1), bound),
-        "sigma2": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 2), bound),
-        "sigma3": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 3), bound),
-        "phi": arith.ArithSeq.tabulate(arith.euler_phi, bound),
-        "j2": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 2), bound),
-        "j3": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 3), bound),
-    }
-    conv = arith.dirichlet_convolve
-    chains = [
-        ("one*one = tau", conv(seqs["one"], seqs["one"]), seqs["tau"]),
-        ("one*id1 = sigma1", conv(seqs["one"], seqs["id1"]), seqs["sigma1"]),
-        ("one*id3 = sigma3", conv(seqs["one"], seqs["id3"]), seqs["sigma3"]),
-        ("one*mu = eps", conv(seqs["one"], seqs["mu"]), seqs["eps"]),
-        ("one*phi = id1", conv(seqs["one"], seqs["phi"]), seqs["id1"]),
-        ("one*j2 = id2", conv(seqs["one"], seqs["j2"]), seqs["id2"]),
-        ("one*j3 = id3", conv(seqs["one"], seqs["j3"]), seqs["id3"]),
-        ("mu*sigma1 = id1", conv(seqs["mu"], seqs["sigma1"]), seqs["id1"]),
-        ("id2*mu = j2", conv(seqs["id2"], seqs["mu"]), seqs["j2"]),
-        ("tau*phi = sigma1", conv(seqs["tau"], seqs["phi"]), seqs["sigma1"]),
-    ]
-    for label, got, want in chains:
-        _check(failures, label, got.values == want.values)
-    inv_sigma = arith.dirichlet_inverse(seqs["sigma1"])
-    back = conv(seqs["sigma1"], inv_sigma)
-    _check(failures, "sigma1 * inverse(sigma1) = eps", back.values == seqs["eps"].values)
-    _check(
-        failures,
-        "moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
-        all(
-            arith.moebius_scaled_divisor_sum(n, k)
-            == _euler_product(n, k)
-            for n in range(1, 501)
-            for k in (0, 1, 2)
-        ),
-    )
-    # Each additive convolution sum over 0 < k < n, for every n in the range,
-    # is one coefficient of a single series product (slot 0 of sigma is 0).
-    ram_bound = 5000
-    sig1 = arith.sigma_table(ram_bound)[: ram_bound + 1]
-    sig3 = arith.sigma_table(ram_bound, 3)[: ram_bound + 1]
-    for order, other in (("deg1", sig1), ("deg3", sig3)):
-        _check(failures, f"sigma convolution closed form {order} (n <= {ram_bound})",
-               _matches_ramanujan(arith.series_product(sig1, other), order))
-    # With P(0) = 1 the product's coefficient n also holds the k = n term
-    # sigma(n), so sum_{0<k<n} sigma(k) P(n-k) = n P(n) - sigma(n) reads
-    # coefficient n = n P(n).
-    part_bound = 2000
-    table = partitions.partition_table(part_bound)[: part_bound + 1]
-    conv = arith.series_product(sig1[: part_bound + 1], table)
-    _check(failures, f"partition convolution identity (n <= {part_bound})",
-           all(conv[n] == n * table[n] for n in range(1, part_bound + 1)))
-    return failures
-
-
-def _matches_ramanujan(conv: list[int], order: str) -> bool:
-    """Whether conv[n] equals ramanujan_rhs(n, order) for every n >= 1 of conv."""
-    try:
-        return all(conv[n] == arith.ramanujan_rhs(n, order) for n in range(1, len(conv)))
-    except ArithmeticError:  # a closed form that is not an integer is wrong
-        return False
-
-
-def _euler_product(n: int, k: int) -> Fraction:
-    """prod over p | n of (1 - p^-k), as one Fraction prod(p^k - 1) / prod(p^k)."""
-    powers = [p**k for p, _ in arith.factorize(n)]
-    return Fraction(prod(pk - 1 for pk in powers), prod(powers))
-
-
-def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
-    """Build/classify round trips and primitivity criterion agreement."""
-    failures: list[str] = []
-    ok = True
-    for params in _one_cyl_params(10):
-        if origami.classify_origami(*origami.build_one_cylinder(params)) != params:
-            ok = False
-    _check(failures, "one-cylinder round trip (n <= 10)", ok)
-    ok = True
-    for params in _two_cyl_params(10):
-        if origami.classify_origami(*origami.build_two_cylinder(params)) != params:
-            ok = False
-    _check(failures, "two-cylinder round trip (n <= 10)", ok)
-    ok = True
-    for params in _one_cyl_params(10):
-        s, t = origami.build_one_cylinder(params)
-        built = groups.GeneratedGroup(s.degree, (s, t))
-        if origami.one_cylinder_primitive(params) != groups.is_primitive(built):
-            ok = False
-    _check(failures, "one-cylinder primitivity criterion (n <= 10)", ok)
-    ok = True
-    for params in _two_cyl_params(9):
-        s, t = origami.build_two_cylinder(params)
-        built = groups.GeneratedGroup(s.degree, (s, t))
-        if origami.two_cylinder_primitive(params) != groups.is_primitive(built):
-            ok = False
-    _check(failures, "two-cylinder primitivity criterion (n <= 9)", ok)
-    ok = True
-    for a, b in ((1, 1), (1, 2), (2, 3)):
-        for k in range(1, 13):
-            for ell in range(1, 13):
-                if origami.twist_count(a, b, k, ell) != oracle.brute_twist_count(
-                    a, b, k, ell
-                ):
-                    ok = False
-    _check(failures, "twist count closed form (k, ell <= 12)", ok)
-    ok = True
-    for a in range(1, 7):
-        for b in range(1, 7):
-            if gcd(a, b) != 1:
-                continue
-            for k in range(1, 7):
-                for ell in range(1, 7):
-                    for alpha in range(k):
-                        for beta in range(ell):
-                            spans = origami.lattice_generates_z2(
-                                [(alpha, a), (beta, b), (k, 0), (ell, 0)]
-                            )
-                            criterion = gcd(k, gcd(ell, abs(a * beta - b * alpha))) == 1
-                            if spans != criterion:
-                                ok = False
-    _check(failures, "lattice span matches gcd criterion (a,b,k,ell <= 6)", ok)
-    return failures
-
-
-def _suite_characters(max_n: int, allow_n8: bool) -> list[str]:
-    """Character-based pair counts against the closed-form counts."""
-    failures: list[str] = []
-    for n in range(3, min(max_n, 7) + 1):
-        class_size = n * (n - 1) * (n - 2) // 3
-        frob = characters.frobenius_threecycle_sum(n)
-        total = factorial(n) * class_size * frob
-        _check(
-            failures,
-            f"character sum counts all pairs at n = {n}",
-            total == census.count_b(n) * factorial(n),
-        )
-        dims_sq = sum(
-            characters.dimension(lam) ** 2 for lam in characters.young_diagrams(n)
-        )
-        _check(failures, f"sum of squared dimensions = n! at n = {n}",
-               dims_sq == factorial(n))
-    return failures
-
-
-def _suite_bounds(max_n: int, allow_n8: bool) -> list[str]:
-    """Inequality sweeps: psi sandwich, count bounds, divisor-sum bounds."""
-    failures: list[str] = []
-    report = census.bound_report(500)
-    for name, bad in report.strict_failures.items():
-        _check(failures, f"bound {name} (n <= 500)", not bad)
-    sig1 = arith.sigma_table(2000)
-    sig3 = arith.sigma_table(2000, 3)
-    ok_upper = all(sig3[n] < n * n * sig1[n] for n in range(2, 2001))
-    ok_lower = all(
-        sig3[n] > n * arith.euler_phi(n) * sig1[n] for n in range(2, 2001)
-    )
-    _check(failures, "sigma_3 < n^2 sigma (n <= 2000)", ok_upper)
-    _check(failures, "sigma_3 > n phi(n) sigma (n <= 2000)", ok_lower)
-    return failures
-
-
-def _one_cyl_params(n_max: int):
-    for n in range(3, n_max + 1):
-        for k in range(1, n // 3 + 1):
-            if n % k:
-                continue
-            m = n // k
-            for a in range(1, m - 1):
-                for b in range(1, m - a):
-                    yield origami.OneCylParams(k, a, b, m - a - b)
-
-
-def _two_cyl_params(n_max: int):
-    for n in range(3, n_max + 1):
-        for ell in range(2, n):
-            for k in range(1, ell):
-                for b in range(1, (n - k) // ell + 1):
-                    rest = n - b * ell
-                    if rest < 1 or rest % k:
-                        continue
-                    a = rest // k
-                    for alpha in range(k):
-                        for beta in range(ell):
-                            yield origami.TwoCylParams(a, b, k, ell, alpha, beta)
-
-
-_SUITES = {
-    "formulas": _suite_formulas,
-    "identities": _suite_identities,
-    "origami": _suite_origami,
-    "characters": _suite_characters,
-    "bounds": _suite_bounds,
-}
-
-
-def cmd_verify(args) -> int:
-    unknown = [name for name in args.suites if name not in _SUITES]
-    if unknown:
-        print(f"verify: unknown suite(s) {', '.join(unknown)}; "
-              f"choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
-        return 2
-    if not 3 <= args.max_n <= 8:
-        print(f"verify: --max-n must lie in 3..8, got {args.max_n}", file=sys.stderr)
-        return 2
-    if args.max_n == 8 and not args.allow_n8:
-        print("verify: --max-n 8 needs --allow-n8", file=sys.stderr)
-        return 2
-    results = {}
-    for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order
-        print(f"running suite {name} ...", file=sys.stderr)
-        failures = _SUITES[name](args.max_n, args.allow_n8)
-        results[name] = failures
-        status = "ok" if not failures else f"{len(failures)} failure(s)"
-        print(f"suite {name}: {status}")
-        for failure in failures:
-            print(f"  FAIL {failure}")
-    if args.json:
-        print(json.dumps(
-            {name: {"passed": not fails, "failures": fails}
-             for name, fails in results.items()},
-            separators=(",", ":"),
-        ))
-    return 0 if all(not fails for fails in results.values()) else 1
+    return verify.cmd_verify(args)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -382,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="permit the expensive degree-8 enumeration")
     ver.add_argument("--json", action="store_true",
                      help="also print a machine-readable JSON summary")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=_cmd_verify)
     return parser
 
 

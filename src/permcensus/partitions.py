@@ -1,12 +1,8 @@
-"""The integer partition function, partition enumeration, and related identities."""
+"""The integer partition function and partition enumeration."""
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-from typing import Iterator
-
-from permcensus import arith
+from collections.abc import Iterator
 
 _TABLE: list[int] = [1]
 
@@ -53,24 +49,6 @@ def partition_count(n: int) -> int:
     return partition_table(n)[n]
 
 
-@dataclass(frozen=True)
-class PartitionTable:
-    """An immutable snapshot of P(0), P(1), ..., P(bound)."""
-
-    values: tuple[int, ...]
-
-    @classmethod
-    def up_to(cls, bound: int) -> "PartitionTable":
-        return cls(tuple(partition_table(bound)[: bound + 1]))
-
-    @property
-    def bound(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of n as a nondecreasing tuple, in lexicographic order.
 
@@ -87,25 +65,3 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - part, part, prefix + (part,))
 
     yield from rec(n, 1, ())
-
-
-def count_parts_of_length(n: int, d: int) -> int:
-    """The total number of parts equal to d over all partitions of n.
-
-    Equals sum over m >= 1 of P(n - m d): a partition with exactly j parts
-    equal to d is reached once for each m = 1..j.
-    """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d = {d}, n = {n}")
-    table = partition_table(n)
-    return sum(table[n - m * d] for m in range(1, n // d + 1))
-
-
-def sigma_partition_identity_check(n: int) -> bool:
-    """True iff sum over 0 < k < n of sigma(k) P(n-k) equals n P(n) - sigma(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    table = partition_table(n)
-    sig = arith.sigma_table(n)
-    lhs = sum(map(operator.mul, sig[1:n], table[n - 1 : 0 : -1]))
-    return lhs == n * table[n] - sig[n]

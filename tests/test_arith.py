@@ -22,11 +22,9 @@ from permcensus.arith import (
     moebius_scaled_divisor_sum,
     primes_up_to,
     ramanujan_rhs,
-    seq_values,
     series_product,
     sigma_k,
     sigma_table,
-    useful_sum_knk,
 )
 
 N = 500
@@ -34,6 +32,11 @@ N = 500
 
 def tab(func, bound=N):
     return ArithSeq.tabulate(func, bound)
+
+
+def from_values(values):
+    """The ArithSeq with f(1), f(2), ... = values."""
+    return ArithSeq((0, *values))
 
 
 ONE = tab(lambda n: 1)
@@ -153,6 +156,18 @@ def test_arithseq_indexing():
         ONE[N + 1]
 
 
+def test_arithseq_is_an_immutable_value():
+    f = from_values([1, 2, 3])
+    assert f == ArithSeq((0, 1, 2, 3)) and hash(f) == hash(ArithSeq((0, 1, 2, 3)))
+    assert f != from_values([1, 2, 4]) and f != (0, 1, 2, 3)
+    with pytest.raises(AttributeError):
+        f.values = (0, 1)
+    with pytest.raises(AttributeError):
+        del f.values
+    with pytest.raises(ValueError):
+        ArithSeq((0,))
+
+
 def test_convolution_identity_chain():
     """The classical identities linking 1, mu, phi, J_k, tau and sigma_k."""
     assert dirichlet_convolve(ONE, ONE) == TAU
@@ -172,7 +187,7 @@ def test_convolution_identity_chain():
     assert dirichlet_convolve(IDENT.pointwise(MU), PHI) == MU
 
 
-small_seqs = st.lists(st.integers(-9, 9), min_size=48, max_size=48).map(seq_values)
+small_seqs = st.lists(st.integers(-9, 9), min_size=48, max_size=48).map(from_values)
 
 
 @given(small_seqs, small_seqs)
@@ -198,7 +213,7 @@ def test_unit_element(f):
 @example([2, 1] + [0] * 46)
 def test_inverse_roundtrip(values):
     assume(values[0] != 0)
-    f = seq_values(values)
+    f = from_values(values)
     eps = ArithSeq.tabulate(lambda n: 1 if n == 1 else 0, f.bound)
     assert dirichlet_convolve(f, dirichlet_inverse(f)) == eps
 
@@ -207,7 +222,7 @@ def test_inverse_roundtrip(values):
 def test_sequences_stay_integral_where_they_can(values):
     """Integer sequences convolve to ints; the inverse is int iff f(1) = +-1, never float."""
     assume(values[0] != 0)
-    f = seq_values(values)
+    f = from_values(values)
     for seq in (f, dirichlet_convolve(f, f), f.pointwise(f)):
         assert all(type(v) is int for v in seq.values)
     inverse = dirichlet_inverse(f).values[1:]
@@ -221,7 +236,6 @@ def test_non_integer_values_become_exact_fractions():
     assert all(type(v) is Fraction for v in halves.values[1:])
     one = ArithSeq(ONE.values[:5])
     assert all(type(v) is Fraction for v in dirichlet_convolve(halves, one).values[1:])
-    assert seq_values([Fraction(1, 3), 2]).values == (0, Fraction(1, 3), 2)
 
 
 def test_inverse_of_one_is_moebius():
@@ -230,7 +244,7 @@ def test_inverse_of_one_is_moebius():
 
 def test_inverse_needs_unit():
     with pytest.raises(ValueError):
-        dirichlet_inverse(seq_values([0, 1, 1]))
+        dirichlet_inverse(from_values([0, 1, 1]))
 
 
 def test_moebius_scaled_divisor_sum_equals_euler_product():
@@ -314,12 +328,6 @@ def test_ramanujan_rhs_matches_discrete_convolve():
     for n in range(1, N + 1):
         assert discrete_convolve(SIG1, SIG1, n) == ramanujan_rhs(n, "deg1")
         assert discrete_convolve(SIG1, SIG3, n) == ramanujan_rhs(n, "deg3")
-
-
-def test_useful_sum_knk_against_direct_summation():
-    for n in range(2, 101):
-        assert useful_sum_knk(n) == sum(k * (n - k) for k in range(2, n + 1))
-    assert useful_sum_knk(6) == 30
 
 
 def test_euler_product_toward_six_over_pi_squared():

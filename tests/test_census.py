@@ -12,7 +12,6 @@ from permcensus.arith import first_primes, jordan_totient, primes_up_to, sigma_k
 from permcensus.census import (
     bound_report,
     census_row,
-    census_rows,
     count_a,
     count_a1,
     count_a2,
@@ -134,10 +133,6 @@ def test_census_row_and_probabilities():
     assert row.p1 == 1
     assert row.p2 == Fraction(19, 31)
     assert row.pa == Fraction(27, 42)
-    rows = list(census_rows(3, 7))
-    assert [r.n for r in rows] == [3, 4, 5, 6, 7]
-    with pytest.raises(ValueError):
-        list(census_rows(5, 4))
 
 
 def test_prime_case_probability_is_one():

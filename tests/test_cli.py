@@ -120,6 +120,19 @@ def test_verify_identities_ok(capsys):
     assert json.loads(out.splitlines()[-1]) == {"identities": {"passed": True, "failures": []}}
 
 
+def test_verify_counts_a_non_integer_closed_form_as_a_failure(capsys, monkeypatch):
+    from permcensus import arith
+
+    def not_an_integer(n, order, sig1, sig3, sig5):
+        raise ArithmeticError(f"ramanujan_rhs({n}, {order!r}) is not an integer")
+
+    monkeypatch.setattr(arith, "_ramanujan_from_sigmas", not_an_integer)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "identities")
+    assert code == 1
+    assert "FAIL sigma convolution closed form deg1 (n <= 5000)" in out
+    assert "FAIL sigma convolution closed form deg3 (n <= 5000)" in out
+
+
 def test_verify_characters_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suites", "characters", "--max-n", "3", "--json"

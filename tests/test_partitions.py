@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from permcensus import partitions
 from permcensus.arith import sigma_k
-from permcensus.partitions import (
-    PartitionTable,
-    count_parts_of_length,
-    enumerate_partitions,
-    partition_count,
-    partition_table,
-    sigma_partition_identity_check,
-)
+from permcensus.partitions import enumerate_partitions, partition_count, partition_table
 
 # P(1)..P(18)
 SMALL_VALUES = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385)
@@ -50,15 +43,6 @@ def test_pentagonal_recurrence_against_coin_counting():
     assert partition_table(bound)[: bound + 1] == coin_count_table(bound)
 
 
-def test_partition_table_snapshot():
-    table = PartitionTable.up_to(50)
-    assert table.bound == 50
-    assert table[0] == 1
-    assert table[50] == partition_count(50)
-    with pytest.raises(IndexError):
-        table[51]
-
-
 def test_enumeration_of_four():
     assert list(enumerate_partitions(4)) == [
         (1, 1, 1, 1),
@@ -81,36 +65,6 @@ def test_enumeration_is_complete_and_canonical(n):
         assert sum(part) == n
         assert all(a <= b for a, b in zip(part, part[1:]))
         assert all(p >= 1 for p in part)
-
-
-def test_count_parts_examples():
-    assert count_parts_of_length(3, 3) == 1
-    assert count_parts_of_length(4, 1) == 7
-    parts_equal_two = sum(p.count(2) for p in enumerate_partitions(6))
-    assert count_parts_of_length(6, 2) == parts_equal_two
-
-
-def test_count_parts_against_enumeration():
-    for n in range(1, 31):
-        partitions = list(enumerate_partitions(n))
-        for d in range(1, n + 1):
-            assert count_parts_of_length(n, d) == sum(p.count(d) for p in partitions)
-        total_parts = sum(len(p) for p in partitions)
-        assert sum(count_parts_of_length(n, d) for d in range(1, n + 1)) == total_parts
-        total_weight = sum(
-            d * count_parts_of_length(n, d) for d in range(1, n + 1)
-        )
-        assert total_weight == n * partition_count(n)
-
-
-def test_sigma_partition_identity_examples():
-    assert sigma_partition_identity_check(1)
-    assert sigma_partition_identity_check(3)
-    assert sigma_partition_identity_check(100)
-
-
-def test_sigma_partition_identity_range():
-    assert all(sigma_partition_identity_check(n) for n in range(1, 2001))
 
 
 def test_sigma_partition_identity_explicitly():

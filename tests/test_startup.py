@@ -1,0 +1,69 @@
+"""Start-up: what `census` imports, and the package's lazily loaded modules."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import permcensus
+
+PACKAGE = Path(permcensus.__file__).parent
+
+# Modules that census rows never use; loading one would slow every run.
+NOT_ON_CENSUS_PATH = (
+    "permcensus.characters",
+    "permcensus.groups",
+    "permcensus.oracle",
+    "permcensus.origami",
+    "permcensus.perm",
+    "permcensus.verify",
+    "dataclasses",
+    "json",
+)
+# Imported each on its own, so the import trace times each one separately.
+ON_CENSUS_PATH = ("permcensus.arith", "permcensus.census", "permcensus.partitions")
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
+def imported_modules(importtime_stderr: str) -> set[str]:
+    """The module names of the `python -X importtime` lines of stderr."""
+    return {line.rpartition("|")[2].strip() for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_census_imports_only_the_census_path():
+    result = run_python("-X", "importtime", "-m", "permcensus", "census", "--to", "3")
+    assert result.returncode == 0
+    assert result.stdout == "3 3 3 1.00000\n"
+    imported = imported_modules(result.stderr)
+    assert sorted(imported & set(NOT_ON_CENSUS_PATH)) == []
+    assert set(ON_CENSUS_PATH) <= imported
+
+
+def test_star_import_binds_every_module():
+    names = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+    assert sorted(permcensus.__all__) == names
+    script = ("import types, permcensus\n"
+              "from permcensus import *\n"
+              "assert all(isinstance(globals()[name], types.ModuleType)\n"
+              "           for name in permcensus.__all__)\n")
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_verify_runs_through_the_lazy_import():
+    result = run_python("-m", "permcensus", "verify", "--suites", "characters",
+                        "--max-n", "4", "--json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "characters": {"passed": True, "failures": []}
+    }
+
+
+def test_every_suite_name_has_a_suite():
+    from permcensus import cli, verify
+
+    assert tuple(verify._SUITES) == cli.SUITE_NAMES

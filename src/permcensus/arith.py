@@ -97,18 +97,6 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if flags[p]]
 
 
-def first_primes(count: int) -> list[int]:
-    """The first `count` primes."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    limit = 16
-    while True:
-        primes = primes_up_to(limit)
-        if len(primes) >= count:
-            return primes[:count]
-        limit *= 2
-
-
 _SIGMA_TABLES: dict[int, list[int]] = {}
 
 

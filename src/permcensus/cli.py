@@ -146,13 +146,23 @@ def _thread_count(text: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write error surfaces here, not at exit
+        return code
     except BrokenPipeError:
-        # The reader went away (census | head): stop quietly.  stdout now
-        # points at /dev/null, so the flush at exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # The reader went away (census | head): stop quietly.
+        _discard_stdout()
         return 0
+    except OSError as exc:  # stdout could not be written, e.g. a full disk
+        print(f"permcensus: cannot write output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 1
+
+
+def _discard_stdout() -> None:
+    """Point stdout at /dev/null, so that the flush at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
 
 
 if __name__ == "__main__":

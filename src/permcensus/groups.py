@@ -1,52 +1,53 @@
-"""Permutation groups given by generators: orbits, blocks, primitivity, order."""
+"""Permutation groups given by generators: orbits, blocks, primitivity, order.
+
+A group is the tuple of its generators, and each generator is an image
+tuple as in perm: entry x - 1 is the image of the point x, points are
+1-based, and a perm.Permutation (the validated parse/print type) serves
+as well as a plain tuple.  generated() builds such a group and checks
+it; the routines here read the group's degree off its first generator.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import factorial
 
-from permcensus.perm import Permutation, commutator, identity, signature
+from permcensus.perm import commutator, compose, inverse, signature
 
 ALT = "alt"
 SYM = "sym"
 NEITHER = "neither"
 
+# group_order refuses larger degrees: the chain is meant for desk-scale checks.
+MAX_ORDER_DEGREE = 10
 
-@dataclass(frozen=True)
-class GeneratedGroup:
-    """A subgroup of S_n described by a tuple of generators."""
-
-    degree: int
-    generators: tuple[Permutation, ...]
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        for g in self.generators:
-            if g.degree != self.degree:
-                raise ValueError(
-                    f"generator degree {g.degree} does not match group degree {self.degree}"
-                )
+Group = tuple[Sequence[int], ...]
 
 
-def generated(*gens: Permutation) -> GeneratedGroup:
-    """GeneratedGroup of the given (at least one) permutations."""
+def generated(*gens: Sequence[int]) -> Group:
+    """The group generated by the given (at least one) permutations of one degree."""
     if not gens:
         raise ValueError("need at least one generator")
-    return GeneratedGroup(gens[0].degree, tuple(gens))
+    n = len(gens[0])
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    for g in gens:
+        if len(g) != n:
+            raise ValueError(f"generator degree {len(g)} does not match group degree {n}")
+    return gens
 
 
-def orbit(group: GeneratedGroup, x: int) -> frozenset[int]:
+def orbit(group: Group, x: int) -> frozenset[int]:
     """The orbit of the point x under the group."""
-    if not 1 <= x <= group.degree:
-        raise ValueError(f"point {x} outside 1..{group.degree}")
-    images = [g.image for g in group.generators]
+    n = len(group[0])
+    if not 1 <= x <= n:
+        raise ValueError(f"point {x} outside 1..{n}")
     seen = {x}
     frontier = [x]
     while frontier:
         nxt = []
         for p in frontier:
-            for img in images:
+            for img in group:
                 q = img[p - 1]
                 if q not in seen:
                     seen.add(q)
@@ -55,19 +56,19 @@ def orbit(group: GeneratedGroup, x: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_transitive(group: GeneratedGroup) -> bool:
+def is_transitive(group: Group) -> bool:
     """Whether the group has a single orbit on 1..n."""
-    return len(orbit(group, 1)) == group.degree
+    return len(orbit(group, 1)) == len(group[0])
 
 
-def minimal_block(group: GeneratedGroup, x: int, y: int) -> frozenset[int]:
+def minimal_block(group: Group, x: int, y: int) -> frozenset[int]:
     """The smallest block of imprimitivity containing {x, y} (group transitive).
 
     Union-find closure: repeatedly merge the classes of g(u), g(v) for
     every generator g whenever the classes of u and v merge.  The class
     of x in the resulting congruence is the minimal block.
     """
-    n = group.degree
+    n = len(group[0])
     if x == y or not (1 <= x <= n and 1 <= y <= n):
         raise ValueError("x and y must be distinct points of 1..n")
     if not is_transitive(group):
@@ -75,11 +76,11 @@ def minimal_block(group: GeneratedGroup, x: int, y: int) -> frozenset[int]:
     return _minimal_block(group, x, y)
 
 
-def _minimal_block(group: GeneratedGroup, x: int, y: int) -> frozenset[int]:
+def _minimal_block(group: Group, x: int, y: int) -> frozenset[int]:
     """minimal_block without the argument and transitivity checks."""
-    n = group.degree
+    n = len(group[0])
     parent = list(range(n + 1))
-    _merge_closure([g.image for g in group.generators], parent, x, y)
+    _merge_closure(group, parent, x, y)
     root = _find(parent, x)
     return frozenset(p for p in range(1, n + 1) if _find(parent, p) == root)
 
@@ -91,7 +92,7 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _merge_closure(images: list[tuple[int, ...]], parent: list[int], x: int, y: int) -> int:
+def _merge_closure(images: Group, parent: list[int], x: int, y: int) -> int:
     """Merge the classes of x and y, then close the union-find under the generators.
 
     Whenever the classes of u and v merge, the classes of g(u) and g(v) are
@@ -118,7 +119,7 @@ def _merge_closure(images: list[tuple[int, ...]], parent: list[int], x: int, y: 
     return merges
 
 
-def is_primitive(group: GeneratedGroup) -> bool:
+def is_primitive(group: Group) -> bool:
     """Transitive with no nontrivial blocks (degree >= 2).
 
     It suffices to check the blocks generated by {1, y}: a nontrivial
@@ -126,39 +127,27 @@ def is_primitive(group: GeneratedGroup) -> bool:
     Each such block is the whole set exactly when its closure makes n - 1
     merges.
     """
-    n = group.degree
+    n = len(group[0])
     if n < 2:
         raise ValueError(f"primitivity needs degree >= 2, got {n}")
     if not is_transitive(group):
         return False
-    images = [g.image for g in group.generators]
-    return all(_merge_closure(images, list(range(n + 1)), 1, y) == n - 1
+    return all(_merge_closure(group, list(range(n + 1)), 1, y) == n - 1
                for y in range(2, n + 1))
 
 
-def _p_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[x - 1] for x in q)
-
-
-def _p_inv(p: tuple[int, ...]) -> tuple[int, ...]:
-    img = [0] * len(p)
-    for x, y in enumerate(p, start=1):
-        img[y - 1] = x
-    return tuple(img)
-
-
-def group_order(group: GeneratedGroup, max_degree: int = 10) -> int:
+def group_order(group: Group) -> int:
     """Exact order of the group via a stabilizer chain with base 1, 2, ..., n.
 
     Deterministic Schreier-Sims: each level i holds the generators fixing
     the points 1..i and a transversal for the orbit of i+1; new Schreier
     generators are sifted down the chain until everything stabilizes.
     The order is the product of the orbit sizes.  Degrees above
-    max_degree are refused (the chain is meant for desk-scale checks).
+    MAX_ORDER_DEGREE are refused.
     """
-    n = group.degree
-    if n > max_degree:
-        raise ValueError(f"degree {n} exceeds the configured cap {max_degree}")
+    n = len(group[0])
+    if n > MAX_ORDER_DEGREE:
+        raise ValueError(f"degree {n} exceeds the cap {MAX_ORDER_DEGREE}")
     ident = tuple(range(1, n + 1))
     level_gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     transversals: list[dict[int, tuple[int, ...]]] = [{i + 1: ident} for i in range(n)]
@@ -174,7 +163,7 @@ def group_order(group: GeneratedGroup, max_degree: int = 10) -> int:
                 for g in level_gens[i]:
                     img = g[pt - 1]
                     if img not in trans:
-                        trans[img] = _p_mul(g, rep)
+                        trans[img] = compose(g, rep)
                         nxt.append(img)
             frontier = nxt
         transversals[i] = trans
@@ -191,7 +180,7 @@ def group_order(group: GeneratedGroup, max_degree: int = 10) -> int:
             trans = transversals[i]
             if x not in trans:
                 return residue, i
-            residue = _p_mul(_p_inv(trans[x]), residue)
+            residue = compose(inverse(trans[x]), residue)
             i += 1
         return residue, n
 
@@ -208,7 +197,7 @@ def group_order(group: GeneratedGroup, max_degree: int = 10) -> int:
             rep = trans[pt]
             for g in level_gens[i]:
                 target = trans[g[pt - 1]]
-                schreier = _p_mul(_p_inv(target), _p_mul(g, rep))
+                schreier = compose(inverse(target), compose(g, rep))
                 if schreier == ident:
                     continue
                 residue, stuck = sift_from(schreier, i + 1)
@@ -219,9 +208,9 @@ def group_order(group: GeneratedGroup, max_degree: int = 10) -> int:
                 for j in range(stuck, i, -1):
                     complete(j)
 
-    for g in group.generators:
-        if g.image != ident:
-            level_gens[0].append(g.image)
+    for g in group:
+        if g != ident:
+            level_gens[0].append(g)
     complete(0)
 
     order = 1
@@ -230,15 +219,15 @@ def group_order(group: GeneratedGroup, max_degree: int = 10) -> int:
     return order
 
 
-def element_closure(group: GeneratedGroup) -> frozenset[Permutation]:
+def element_closure(group: Group) -> frozenset[tuple[int, ...]]:
     """Every element of the group by breadth-first closure (small degrees only)."""
-    seen = {identity(group.degree)}
+    seen = {tuple(range(1, len(group[0]) + 1))}
     frontier = list(seen)
     while frontier:
         nxt = []
         for p in frontier:
-            for g in group.generators:
-                q = Permutation(_p_mul(g.image, p.image))
+            for g in group:
+                q = compose(g, p)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -246,11 +235,11 @@ def element_closure(group: GeneratedGroup) -> frozenset[Permutation]:
     return frozenset(seen)
 
 
-def _is_three_cycle(p: Permutation) -> bool:
-    return sum(1 for x, y in enumerate(p.image, start=1) if x != y) == 3
+def _is_three_cycle(p: Sequence[int]) -> bool:
+    return sum(1 for x, y in enumerate(p, start=1) if x != y) == 3
 
 
-def jordan_route(s: Permutation, t: Permutation) -> str | None:
+def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
     """Classify <s, t> via a 3-cycle certificate plus primitivity.
 
     A primitive group containing a 3-cycle contains the alternating
@@ -259,18 +248,18 @@ def jordan_route(s: Permutation, t: Permutation) -> str | None:
     a 3-cycle) and the group is transitive and primitive, in which case
     the order route must decide.
     """
-    n = _common_degree(s, t)
-    if not is_primitive(GeneratedGroup(n, (s, t))):
+    _common_degree(s, t)
+    if not is_primitive((s, t)):
         return NEITHER
     if not _is_three_cycle(commutator(s, t)):
         return None
     return ALT if signature(s) == 1 and signature(t) == 1 else SYM
 
 
-def order_route(s: Permutation, t: Permutation, max_degree: int = 10) -> str:
+def order_route(s: Sequence[int], t: Sequence[int]) -> str:
     """Classify <s, t> purely by its order: n! -> sym, n!/2 -> alt."""
     n = _common_degree(s, t)
-    order = group_order(GeneratedGroup(n, (s, t)), max_degree=max_degree)
+    order = group_order((s, t))
     full = factorial(n)
     if order == full:
         return SYM
@@ -279,7 +268,7 @@ def order_route(s: Permutation, t: Permutation, max_degree: int = 10) -> str:
     return NEITHER
 
 
-def generates_alt_or_sym(s: Permutation, t: Permutation) -> str:
+def generates_alt_or_sym(s: Sequence[int], t: Sequence[int]) -> str:
     """Whether <s, t> is the alternating group, the symmetric group, or neither.
 
     Degree must be at least 3.  The 3-cycle certificate route answers
@@ -292,9 +281,9 @@ def generates_alt_or_sym(s: Permutation, t: Permutation) -> str:
     return order_route(s, t)
 
 
-def _common_degree(s: Permutation, t: Permutation) -> int:
-    if s.degree != t.degree:
-        raise ValueError(f"degree mismatch: {s.degree} vs {t.degree}")
-    if s.degree < 3:
-        raise ValueError(f"classification needs degree >= 3, got {s.degree}")
-    return s.degree
+def _common_degree(s: Sequence[int], t: Sequence[int]) -> int:
+    if len(s) != len(t):
+        raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
+    if len(s) < 3:
+        raise ValueError(f"classification needs degree >= 3, got {len(s)}")
+    return len(s)

@@ -11,11 +11,10 @@ from __future__ import annotations
 import operator
 from itertools import permutations as all_images
 from math import gcd
-from typing import Callable
 
 from permcensus import groups
 from permcensus.partitions import enumerate_partitions
-from permcensus.perm import Permutation, conjugacy_class_size
+from permcensus.perm import conjugacy_class_size, cycle_structure, inverse
 
 FAMILIES = ("B", "A", "B1", "A1", "B2", "A2")
 _GENERATING = ("A", "A1", "A2")
@@ -47,13 +46,6 @@ def _commutator_moves_three(s: tuple[int, ...], s_inv: tuple[int, ...],
     return moved == 3
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    img = [0] * len(p)
-    for x, y in enumerate(p, start=1):
-        img[y - 1] = x
-    return tuple(img)
-
-
 def _check_degree(n: int, allow_n8: bool) -> None:
     if not 3 <= n <= _MAX_DEGREE:
         raise ValueError(f"degree must lie in 3..{_MAX_DEGREE}, got {n}")
@@ -70,15 +62,7 @@ def _s_filter(family: str, flag: tuple[int, ...]) -> bool:
     return True
 
 
-def brute_count(
-    n: int,
-    family: str,
-    *,
-    full: bool = False,
-    allow_n8: bool = False,
-    progress: Callable[[tuple[int, ...]], None] | None = None,
-    cancelled: Callable[[], bool] | None = None,
-) -> int:
+def brute_count(n: int, family: str, *, full: bool = False, allow_n8: bool = False) -> int:
     """The exact number of ordered pairs (s, t) in S_n x S_n in the family.
 
     Families: "B" commutator is a 3-cycle; "B1"/"B2" additionally s is an
@@ -88,9 +72,7 @@ def brute_count(
     By default the outer loop visits one representative s per conjugacy
     class and scales by the class size (every family predicate is
     invariant under simultaneous conjugation); full=True forces the
-    plain double loop and is limited to n <= 6.  progress, when given,
-    is called once per finished work item (outer class or outer s);
-    cancelled is polled between work items and aborts via RuntimeError.
+    plain double loop and is limited to n <= 6.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -102,41 +84,25 @@ def brute_count(
     points = tuple(range(1, n + 1))
 
     def count_t_loop(s_img: tuple[int, ...]) -> int:
-        s_inv = _invert(s_img)
-        s_perm = Permutation(s_img) if need_generation else None
+        s_inv = inverse(s_img)
         hits = 0
         for t_img in all_images(points):
-            t_inv = _invert(t_img)
-            if not _commutator_moves_three(s_img, s_inv, t_img, t_inv):
+            if not _commutator_moves_three(s_img, s_inv, t_img, inverse(t_img)):
                 continue
-            if need_generation:
-                verdict = groups.generates_alt_or_sym(s_perm, Permutation(t_img))
-                if verdict == groups.NEITHER:
-                    continue
+            if need_generation and groups.generates_alt_or_sym(s_img, t_img) == groups.NEITHER:
+                continue
             hits += 1
         return hits
 
-    total = 0
     if full:
-        for s_img in all_images(points):
-            if cancelled is not None and cancelled():
-                raise RuntimeError("brute_count cancelled")
-            flag = _flag_of(s_img)
-            if _s_filter(family, flag):
-                total += count_t_loop(s_img)
-            if progress is not None:
-                progress(s_img)
-        return total
+        return sum(count_t_loop(s_img) for s_img in all_images(points)
+                   if _s_filter(family, cycle_structure(s_img).flag))
 
+    total = 0
     for flag_list in enumerate_partitions(n):
         flag = tuple(flag_list)
-        if cancelled is not None and cancelled():
-            raise RuntimeError("brute_count cancelled")
         if _s_filter(family, flag):
-            rep = _rep_from_flag(flag, n)
-            total += conjugacy_class_size(flag) * count_t_loop(rep)
-        if progress is not None:
-            progress(flag)
+            total += conjugacy_class_size(flag) * count_t_loop(_rep_from_flag(flag, n))
     return total
 
 
@@ -159,39 +125,21 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     for flag_list in enumerate_partitions(n):
         flag = tuple(flag_list)
         s_img = _rep_from_flag(flag, n)
-        s_inv = _invert(s_img)
+        s_inv = inverse(s_img)
         after_s_inv = operator.itemgetter(*(y - 1 for y in s_inv))  # t -> t s^-1
         s_inv_of = (0, *s_inv).__getitem__  # 1-based s^-1
-        s_perm = Permutation(s_img)
         hits = generating = 0
         for t_img in images:
             if sum(map(operator.ne, after_s_inv(t_img), map(s_inv_of, t_img))) != 3:
                 continue
             hits += 1
-            if groups.generates_alt_or_sym(s_perm, Permutation(t_img)) != groups.NEITHER:
+            if groups.generates_alt_or_sym(s_img, t_img) != groups.NEITHER:
                 generating += 1
         size = conjugacy_class_size(flag)
         for family in FAMILIES:
             if _s_filter(family, flag):
                 totals[family] += size * (generating if family in _GENERATING else hits)
     return totals
-
-
-def _flag_of(img: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(img)
-    seen = bytearray(n + 1)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = img[cur - 1]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
 
 
 def brute_triple_counts(n: int, kind: str, d: int | None = None) -> int:

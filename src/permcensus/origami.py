@@ -1,8 +1,9 @@
 """Square-tiled surfaces encoded by permutation pairs with 3-cycle commutators.
 
-A surface of n unit squares is a pair (s, t): s glues each square to its
-right-hand neighbour, t to its upper neighbour.  The pairs of interest
-decompose into horizontal cylinders in exactly two ways:
+A surface of n unit squares is a pair (s, t) of image tuples (see perm):
+s glues each square to its right-hand neighbour, t to its upper
+neighbour.  The pairs of interest decompose into horizontal cylinders in
+exactly two ways:
 
 * one cylinder of k rows whose circumference m splits into three marked
   segments a + b + c = m;
@@ -17,85 +18,52 @@ predicates decide when the surface is not a proper cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from math import gcd
 
 from permcensus import groups
 from permcensus.arith import euler_phi
-from permcensus.perm import (
-    CaseA,
-    CaseB,
-    Permutation,
-    classify_commutator,
-    cycle_structure,
-    s_distance,
-)
+from permcensus.perm import CaseA, classify_commutator, cycle_structure, s_distance
 
 
-@dataclass(frozen=True)
-class OneCylParams:
+class OneCylParams(namedtuple("OneCylParams", "k a b c")):
     """One-cylinder shape: k rows of circumference a + b + c."""
 
-    k: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.k, self.a, self.b, self.c) < 1:
+    def __new__(cls, k: int, a: int, b: int, c: int) -> OneCylParams:
+        if min(k, a, b, c) < 1:
             raise ValueError("all one-cylinder parameters must be >= 1")
+        return super().__new__(cls, k, a, b, c)
 
     @property
     def n(self) -> int:
         return self.k * (self.a + self.b + self.c)
 
 
-@dataclass(frozen=True)
-class TwoCylParams:
+class TwoCylParams(namedtuple("TwoCylParams", "a b k ell alpha beta")):
     """Two-cylinder shape: heights a, b; widths k < ell; twists alpha, beta."""
 
-    a: int
-    b: int
-    k: int
-    ell: int
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.k) < 1:
+    def __new__(cls, a: int, b: int, k: int, ell: int, alpha: int, beta: int) -> TwoCylParams:
+        if min(a, b, k) < 1:
             raise ValueError("heights and widths must be >= 1")
-        if not self.k < self.ell:
-            raise ValueError(f"need k < ell, got k = {self.k}, ell = {self.ell}")
-        if not 0 <= self.alpha < self.k:
-            raise ValueError(f"alpha must lie in [0, k), got {self.alpha}")
-        if not 0 <= self.beta < self.ell:
-            raise ValueError(f"beta must lie in [0, ell), got {self.beta}")
+        if not k < ell:
+            raise ValueError(f"need k < ell, got k = {k}, ell = {ell}")
+        if not 0 <= alpha < k:
+            raise ValueError(f"alpha must lie in [0, k), got {alpha}")
+        if not 0 <= beta < ell:
+            raise ValueError(f"beta must lie in [0, ell), got {beta}")
+        return super().__new__(cls, a, b, k, ell, alpha, beta)
 
     @property
     def n(self) -> int:
         return self.a * self.k + self.b * self.ell
 
 
-@dataclass(frozen=True)
-class Origami:
-    """A square-tiled surface given by its right and up gluing permutations."""
-
-    s: Permutation
-    t: Permutation
-
-    def __post_init__(self):
-        if self.s.degree != self.t.degree:
-            raise ValueError("gluing permutations must share a degree")
-
-    @property
-    def n(self) -> int:
-        return self.s.degree
-
-    def is_connected(self) -> bool:
-        return groups.is_transitive(groups.GeneratedGroup(self.n, (self.s, self.t)))
-
-
-def build_one_cylinder(params: OneCylParams) -> tuple[Permutation, Permutation]:
+def build_one_cylinder(params: OneCylParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical pair for a one-cylinder surface; its commutator is a 3-cycle.
 
     Squares are numbered row by row from the bottom, left to right; each
@@ -121,10 +89,10 @@ def build_one_cylinder(params: OneCylParams) -> tuple[Permutation, Permutation]:
     top_base = (k - 1) * m
     for j in range(m):
         t_img[top_base + j] = closing[j]
-    return Permutation(tuple(s_img)), Permutation(tuple(t_img))
+    return tuple(s_img), tuple(t_img)
 
 
-def build_two_cylinder(params: TwoCylParams) -> tuple[Permutation, Permutation]:
+def build_two_cylinder(params: TwoCylParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical pair for a two-cylinder surface; its commutator is a 3-cycle.
 
     The short cylinder (width k, height a) occupies squares 1..ak, its
@@ -164,10 +132,10 @@ def build_two_cylinder(params: TwoCylParams) -> tuple[Permutation, Permutation]:
     tall_top = base + (b - 1) * ell
     for j in range(ell):
         t_img[tall_top + j] = closing[(j - beta) % ell]
-    return Permutation(tuple(s_img)), Permutation(tuple(t_img))
+    return tuple(s_img), tuple(t_img)
 
 
-def classify_origami(s: Permutation, t: Permutation) -> OneCylParams | TwoCylParams:
+def classify_origami(s: Sequence[int], t: Sequence[int]) -> OneCylParams | TwoCylParams:
     """Recover cylinder parameters from a connected pair with 3-cycle commutator.
 
     Inverts the builders: the commutator's moved points locate the marked
@@ -177,10 +145,10 @@ def classify_origami(s: Permutation, t: Permutation) -> OneCylParams | TwoCylPar
     disconnected, the commutator is not a 3-cycle, or the cycle data is
     inconsistent with both shapes.
     """
-    if s.degree != t.degree:
-        raise ValueError(f"degree mismatch: {s.degree} vs {t.degree}")
-    n = s.degree
-    if not groups.is_transitive(groups.GeneratedGroup(n, (s, t))):
+    if len(s) != len(t):
+        raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
+    n = len(s)
+    if not groups.is_transitive((s, t)):
         raise ValueError("surface is not connected")
     case = classify_commutator(s, t)
     lengths = sorted(len(c) for c in cycle_structure(s).cycles)
@@ -207,7 +175,7 @@ def classify_origami(s: Permutation, t: Permutation) -> OneCylParams | TwoCylPar
 
     up = z
     for _ in range(a):
-        up = t(up)
+        up = t[up - 1]
     steps_y = 0 if up == y else s_distance(s, y, up)
     if not math.isfinite(steps_y) or steps_y >= k:
         raise ValueError("t does not carry the short cylinder onto the y-segment")
@@ -215,7 +183,7 @@ def classify_origami(s: Permutation, t: Permutation) -> OneCylParams | TwoCylPar
 
     up = y
     for _ in range(b):
-        up = t(up)
+        up = t[up - 1]
     if up == z or math.isfinite(s_distance(s, z, up)):
         pos = 0 if up == z else int(s_distance(s, z, up))
     else:

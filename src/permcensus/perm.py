@@ -1,42 +1,50 @@
 """Permutations of {1, ..., n}: composition, cycles, distances, commutators.
 
-Points are 1-based everywhere.  A Permutation stores its image table;
-disjoint-cycle data is ordered by (and each cycle started at) its
-minimal element, so printed forms are canonical.
+A permutation is its image tuple: entry x - 1 is the image of the point
+x, so points are 1-based everywhere.  compose, inverse, commutator,
+cycle_structure, signature and s_distance take any such tuple, and the
+first three return plain tuples.  Permutation is the validated type for
+parsing and printing: a tuple subclass whose constructor checks the
+bijection, so every Permutation is also an image tuple.  Disjoint-cycle
+data is ordered by (and each cycle started at) its minimal element, so
+printed forms are canonical.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from math import factorial
-from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, ..., n}; image[x - 1] is the image of the point x."""
+class Permutation(tuple):
+    """A bijection of {1, ..., n}; self[x - 1] is the image of the point x."""
 
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
+    def __new__(cls, image: Iterable[int]) -> Permutation:
+        self = super().__new__(cls, image)
+        if sorted(self) != list(range(1, len(self) + 1)):
             raise ValueError("image table is not a bijection of 1..n")
+        return self
+
+    @property
+    def image(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.image)
+        return len(self)
 
     def __call__(self, x: int) -> int:
-        if not 1 <= x <= self.degree:
-            raise ValueError(f"point {x} outside 1..{self.degree}")
-        return self.image[x - 1]
+        if not 1 <= x <= len(self):
+            raise ValueError(f"point {x} outside 1..{len(self)}")
+        return self[x - 1]
 
     def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.image, start=1))
+        return all(y == x for x, y in enumerate(self, start=1))
 
     def __str__(self) -> str:
         return cycles_string(self)
@@ -46,31 +54,25 @@ def identity(n: int) -> Permutation:
     """The identity permutation of degree n."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation(range(1, n + 1))
 
 
-def _check_same_degree(s: Permutation, t: Permutation) -> int:
-    if s.degree != t.degree:
-        raise ValueError(f"degree mismatch: {s.degree} vs {t.degree}")
-    return s.degree
-
-
-def compose(s: Permutation, t: Permutation) -> Permutation:
+def compose(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
     """The product s o t (t applied first)."""
-    n = _check_same_degree(s, t)
-    si, ti = s.image, t.image
-    return Permutation(tuple(si[ti[x] - 1] for x in range(n)))
+    if len(s) != len(t):
+        raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
+    return tuple([s[y - 1] for y in t])
 
 
-def inverse(s: Permutation) -> Permutation:
+def inverse(s: Sequence[int]) -> tuple[int, ...]:
     """The inverse permutation."""
-    img = [0] * s.degree
-    for x, y in enumerate(s.image, start=1):
+    img = [0] * len(s)
+    for x, y in enumerate(s, start=1):
         img[y - 1] = x
-    return Permutation(tuple(img))
+    return tuple(img)
 
 
-def commutator(s: Permutation, t: Permutation) -> Permutation:
+def commutator(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
     """[s, t] = s o t o s^-1 o t^-1."""
     return compose(compose(s, t), compose(inverse(s), inverse(t)))
 
@@ -91,7 +93,7 @@ def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> Permutation:
             seen.add(p)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b
-    return Permutation(tuple(img))
+    return Permutation(img)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -110,7 +112,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return from_cycles(cycles, degree)
 
 
-def cycles_string(s: Permutation, include_fixed: bool = False) -> str:
+def cycles_string(s: Sequence[int], include_fixed: bool = False) -> str:
     """Canonical cycle notation; "()" for the identity."""
     parts = []
     for cycle in cycle_structure(s).cycles:
@@ -120,11 +122,10 @@ def cycles_string(s: Permutation, include_fixed: bool = False) -> str:
     return "".join(parts) if parts else "()"
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(namedtuple("CycleStructure", "cycles")):
     """Disjoint cycles covering 1..n, ordered by (and started at) minimal elements."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def flag(self) -> tuple[int, ...]:
@@ -138,10 +139,9 @@ class CycleStructure:
         return dict(sorted(counts.items()))
 
 
-def cycle_structure(s: Permutation) -> CycleStructure:
+def cycle_structure(s: Sequence[int]) -> CycleStructure:
     """Disjoint cycle decomposition (fixed points included as 1-cycles)."""
-    n = s.degree
-    img = s.image
+    n = len(s)
     seen = bytearray(n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -149,33 +149,32 @@ def cycle_structure(s: Permutation) -> CycleStructure:
             continue
         cycle = [start]
         seen[start] = 1
-        nxt = img[start - 1]
+        nxt = s[start - 1]
         while nxt != start:
             cycle.append(nxt)
             seen[nxt] = 1
-            nxt = img[nxt - 1]
+            nxt = s[nxt - 1]
         cycles.append(tuple(cycle))
     return CycleStructure(tuple(cycles))
 
 
-def signature(s: Permutation) -> int:
+def signature(s: Sequence[int]) -> int:
     """+1 for even permutations, -1 for odd ones."""
-    return -1 if (s.degree - len(cycle_structure(s).cycles)) % 2 else 1
+    return -1 if (len(s) - len(cycle_structure(s).cycles)) % 2 else 1
 
 
-def s_distance(s: Permutation, x: int, y: int) -> int | float:
+def s_distance(s: Sequence[int], x: int, y: int) -> int | float:
     """The least d >= 1 with s^d(x) = y, or math.inf when x, y share no cycle.
 
     In particular s_distance(s, x, x) is the length of the cycle through x,
     and x, y share a cycle exactly when the value is finite.
     """
-    if not (1 <= x <= s.degree and 1 <= y <= s.degree):
-        raise ValueError(f"points must lie in 1..{s.degree}")
-    img = s.image
-    cur = img[x - 1]
+    if not (1 <= x <= len(s) and 1 <= y <= len(s)):
+        raise ValueError(f"points must lie in 1..{len(s)}")
+    cur = s[x - 1]
     d = 1
     while cur != y and cur != x:
-        cur = img[cur - 1]
+        cur = s[cur - 1]
         d += 1
     return d if cur == y else math.inf
 
@@ -198,8 +197,7 @@ def conjugacy_class_size(flag: Iterable[int], degree: int | None = None) -> int:
     return factorial(n) // denom
 
 
-@dataclass(frozen=True)
-class CaseA:
+class CaseA(namedtuple("CaseA", "x y z segments")):
     """All three commutator points lie in one cycle of s.
 
     x is the smallest of the three points, the commutator maps z -> y ->
@@ -207,27 +205,20 @@ class CaseA:
     around the shared cycle; they sum to its length.
     """
 
-    x: int
-    y: int
-    z: int
-    segments: tuple[int, int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CaseB:
+class CaseB(namedtuple("CaseB", "x y z short_length")):
     """x and y share a cycle of s; z lies alone in a cycle of length d(y, x).
 
     The commutator maps z -> y -> x -> z.  short_length is the length of
     z's cycle, which equals the s-distance from y to x.
     """
 
-    x: int
-    y: int
-    z: int
-    short_length: int
+    __slots__ = ()
 
 
-def classify_commutator(s: Permutation, t: Permutation) -> CaseA | CaseB:
+def classify_commutator(s: Sequence[int], t: Sequence[int]) -> CaseA | CaseB:
     """Sort a pair whose commutator is a 3-cycle into one of two shapes.
 
     Writing [s, t] = (z y x), either all three moved points lie in a
@@ -237,13 +228,13 @@ def classify_commutator(s: Permutation, t: Permutation) -> CaseA | CaseB:
     not a 3-cycle or the distance relations fail.
     """
     c = commutator(s, t)
-    moved = [x for x in range(1, c.degree + 1) if c(x) != x]
+    moved = [p for p, q in enumerate(c, start=1) if q != p]
     if len(moved) != 3:
         raise ValueError("commutator is not a 3-cycle")
 
     x = moved[0]
-    z = c(x)
-    y = c(z)
+    z = c[x - 1]
+    y = c[z - 1]
     a = s_distance(s, x, y)
     b = s_distance(s, y, z)
     cc = s_distance(s, z, x)
@@ -262,8 +253,8 @@ def classify_commutator(s: Permutation, t: Permutation) -> CaseA | CaseB:
         raise ValueError("moved points do not form a one-cycle or two-cycle pattern")
     lone = next(p for p in moved if p not in shared[0])
     z = lone
-    y = c(z)
-    x = c(y)
+    y = c[z - 1]
+    x = c[y - 1]
     k = s_distance(s, z, z)
     if k != s_distance(s, y, x):
         raise ValueError("lone point's cycle length does not match d(y, x)")

@@ -152,14 +152,14 @@ def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
     ok = True
     for params in _one_cyl_params(10):
         s, t = origami.build_one_cylinder(params)
-        built = groups.GeneratedGroup(s.degree, (s, t))
+        built = groups.generated(s, t)
         if origami.one_cylinder_primitive(params) != groups.is_primitive(built):
             ok = False
     _check(failures, "one-cylinder primitivity criterion (n <= 10)", ok)
     ok = True
     for params in _two_cyl_params(9):
         s, t = origami.build_two_cylinder(params)
-        built = groups.GeneratedGroup(s.degree, (s, t))
+        built = groups.generated(s, t)
         if origami.two_cylinder_primitive(params) != groups.is_primitive(built):
             ok = False
     _check(failures, "two-cylinder primitivity criterion (n <= 9)", ok)

@@ -16,7 +16,6 @@ from permcensus.arith import (
     divisors,
     euler_phi,
     factorize,
-    first_primes,
     jordan_totient,
     moebius,
     moebius_scaled_divisor_sum,
@@ -111,9 +110,8 @@ def test_jordan_by_counting_tuples():
 def test_primes():
     assert primes_up_to(1) == []
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert first_primes(5) == [2, 3, 5, 7, 11]
-    assert len(first_primes(100)) == 100
-    assert first_primes(100)[-1] == 541
+    assert len(primes_up_to(541)) == 100
+    assert primes_up_to(541)[-2:] == [523, 541]
 
 
 def test_sigma_table_matches_sigma_k():
@@ -334,7 +332,7 @@ def test_euler_product_toward_six_over_pi_squared():
     target = 6 / math.pi**2
     partials = []
     product = Fraction(1)
-    for p in first_primes(100):
+    for p in primes_up_to(541):
         product *= 1 - Fraction(1, p * p)
         partials.append(product)
     assert all(a > b for a, b in zip(partials, partials[1:]))

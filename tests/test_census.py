@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permcensus import census
-from permcensus.arith import first_primes, jordan_totient, primes_up_to, sigma_k
+from permcensus.arith import jordan_totient, primes_up_to, sigma_k
 from permcensus.census import (
     bound_report,
     census_row,

@@ -210,6 +210,19 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [("census", "--to", "3"),
+                                  ("verify", "--suites", "characters", "--max-n", "3")])
+def test_failed_write_is_one_line_and_exit_1(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "permcensus", *argv],
+                                stdout=full, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        "permcensus: cannot write output: [Errno 28] No space left on device")
+
+
 def test_bad_thread_count_from_environment_is_a_usage_error():
     result = run_module("census", "--to", "5", env=os.environ | {"PERMCENSUS_THREADS": "abc"})
     assert result.returncode == 2

@@ -72,14 +72,6 @@ def test_argument_validation():
         brute_count(7, "B", full=True)
 
 
-def test_progress_and_cancellation():
-    seen = []
-    brute_count(4, "B", progress=seen.append)
-    assert len(seen) == 5  # one call per cycle type of S4
-    with pytest.raises(RuntimeError):
-        brute_count(4, "B", cancelled=lambda: True)
-
-
 def test_triple_count_validation():
     with pytest.raises(ValueError):
         brute_triple_counts(12, "step_divisor", 5)

@@ -4,11 +4,10 @@ from math import gcd
 
 import pytest
 
-from permcensus.groups import generated, is_primitive
+from permcensus.groups import generated, is_primitive, is_transitive
 from permcensus.oracle import brute_triple_counts, brute_twist_count
 from permcensus.origami import (
     OneCylParams,
-    Origami,
     TwoCylParams,
     build_one_cylinder,
     build_two_cylinder,
@@ -55,21 +54,12 @@ def test_param_validation():
     assert TwoCylParams(1, 2, 3, 4, 0, 0).n == 11
 
 
-def test_origami_type():
-    s = parse_cycles("(1 2 3)", 3)
-    surface = Origami(s, parse_cycles("(2 3)", 3))
-    assert surface.n == 3
-    assert surface.is_connected()
-    assert not Origami(identity(2), identity(2)).is_connected()
-    with pytest.raises(ValueError):
-        Origami(identity(3), identity(4))
-
-
 def test_smallest_one_cylinder_surface():
     s, t = build_one_cylinder(OneCylParams(1, 1, 1, 1))
     assert s == parse_cycles("(1 2 3)", 3)
     assert t == parse_cycles("(2 3)", 3)
     assert commutator(s, t) == parse_cycles("(1 3 2)", 3)
+    assert is_transitive(generated(s, t))
 
 
 def test_smallest_two_cylinder_surface():
@@ -85,25 +75,27 @@ def test_built_commutator_is_the_marked_three_cycle():
         a, b = params.a, params.b
         expected = parse_cycles(f"(1 {a + b + 1} {a + 1})", params.n)
         assert commutator(s, t) == expected
-        assert Origami(s, t).is_connected()
+        assert is_transitive(generated(s, t))
     for params in two_cylinder_tuples(10):
         s, t = build_two_cylinder(params)
         z1, y1, x1 = 1, params.a * params.k + 1, params.a * params.k + params.k + 1
         c = commutator(s, t)
-        assert c(z1) == y1 and c(y1) == x1 and c(x1) == z1
-        assert Origami(s, t).is_connected()
+        assert c[z1 - 1] == y1 and c[y1 - 1] == x1 and c[x1 - 1] == z1
+        assert is_transitive(generated(s, t))
 
 
 def test_one_cylinder_round_trip():
     for params in one_cylinder_tuples(10):
         recovered = classify_origami(*build_one_cylinder(params))
         assert recovered == params
+        assert type(recovered) is type(params)
 
 
 def test_two_cylinder_round_trip():
     for params in two_cylinder_tuples(10):
         recovered = classify_origami(*build_two_cylinder(params))
         assert recovered == params
+        assert type(recovered) is type(params)
 
 
 def test_classify_rejects_bad_input():

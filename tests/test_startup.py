@@ -43,6 +43,15 @@ def test_census_imports_only_the_census_path():
     assert set(ON_CENSUS_PATH) <= imported
 
 
+def test_verify_does_not_import_dataclasses():
+    result = run_python("-X", "importtime", "-m", "permcensus", "verify", "--suites",
+                        "characters", "--max-n", "3")
+    assert result.returncode == 0, result.stderr
+    imported = imported_modules(result.stderr)
+    assert "permcensus.verify" in imported
+    assert "dataclasses" not in imported
+
+
 def test_star_import_binds_every_module():
     names = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
     assert sorted(permcensus.__all__) == names

@@ -154,6 +154,20 @@ def _psi_series(a: int, bound: int) -> list[int]:
     return series_product(weights, partition_table(bound)[: bound + 1])
 
 
+def _count_b_series(psi1: list[int]) -> list[int]:
+    """count_b(n) for every n in 0..len(psi1) - 1 (0 below n = 3), from series.
+
+    psi1 is _psi_series(1, bound).  One series product sigma_3 * P gives
+    the first sum of count_b at every degree, and
+    3 (S_3(n) - 2 psi_1(n) + n P(n)) / 8 is count_b's own formula.
+    """
+    bound = len(psi1) - 1
+    table = partition_table(bound)[: bound + 1]
+    s3 = series_product(sigma_table(bound, 3)[: bound + 1], table)
+    return [_exact_div(3 * (s3[n] - 2 * psi1[n] + n * table[n]), 8, f"count_b({n})")
+            for n in range(bound + 1)]
+
+
 def _psi_floats(exponent: float, bound: int) -> list[float]:
     """psi(exponent, n) for every n in 1..bound (slot 0 is unused), as floats.
 
@@ -275,9 +289,10 @@ def bound_report(n_max: int, epsilon: float = 0.5) -> BoundReport:
     table = partition_table(n_max)
     psis = {a_exp: _psi_series(a_exp, n_max) for a_exp in (0, 1, 2)}
     psi_eps = _psi_floats(2 - epsilon, n_max)
+    counts_b = _count_b_series(psis[1])
     for n in range(3, n_max + 1):
         p_n = table[n]
-        b_n = count_b(n)
+        b_n = counts_b[n]
         a_n = count_a(n)
         if not 8 * b_n < 3 * psis[2][n]:
             strict["commutator_upper"].append(n)

@@ -235,10 +235,6 @@ def element_closure(group: Group) -> frozenset[tuple[int, ...]]:
     return frozenset(seen)
 
 
-def _is_three_cycle(p: Sequence[int]) -> bool:
-    return sum(1 for x, y in enumerate(p, start=1) if x != y) == 3
-
-
 def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
     """Classify <s, t> via a 3-cycle certificate plus primitivity.
 
@@ -247,12 +243,26 @@ def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
     odd.  Returns None when the route has no certificate ([s, t] is not
     a 3-cycle) and the group is transitive and primitive, in which case
     the order route must decide.
+
+    When [s, t] is a 3-cycle (a b c), one closure decides primitivity.
+    Let B be a nontrivial block containing a.  If (a b c) moved B off
+    itself, B and its image would be disjoint; every point of B outside
+    {a, b, c} is fixed and would lie in both, so B would lie inside
+    {a, b, c}, and it could hold neither b (the image of a) nor c (whose
+    image is a), so B = {a}.  Hence (a b c) fixes B, and B contains b.
+    So <s, t> is primitive exactly when the smallest block containing
+    {a, b} is the whole set, that is when the closure from (a, b) makes
+    n - 1 merges.  Those merges also show transitivity, because the
+    closure never leaves the orbit of a.
     """
-    _common_degree(s, t)
-    if not is_primitive((s, t)):
+    n = _common_degree(s, t)
+    c = commutator(s, t)
+    moved = [x for x in range(1, n + 1) if c[x - 1] != x]
+    if len(moved) != 3:
+        return None if is_primitive((s, t)) else NEITHER
+    a = moved[0]
+    if _merge_closure((s, t), list(range(n + 1)), a, c[a - 1]) != n - 1:
         return NEITHER
-    if not _is_three_cycle(commutator(s, t)):
-        return None
     return ALT if signature(s) == 1 and signature(t) == 1 else SYM
 
 

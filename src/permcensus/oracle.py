@@ -2,13 +2,21 @@
 
 Everything here is deliberately independent of the formulas: pairs are
 enumerated, commutators computed pointwise, and generation tested via
-the group machinery.  Degrees run 3..8; n = 8 (40320^ish work items)
-must be requested explicitly.
+the group machinery.  Degrees run 3..8; n = 8 (40320 candidates t for
+each of 22 cycle types of s) must be requested explicitly.
+
+brute_count is the plain reference: it tests each pair (s, t) with a
+pointwise loop.  brute_counts, which verify runs, scans the commutators
+of one s with every t at once.  It keeps the image column of each point
+over all of S_n as a byte string, one byte per t holding a 0-based image,
+and counts the points each commutator moves in one byte per t with
+big-integer XOR, shift and add.  That needs every image and every XOR of
+two images to fit in 3 bits: the values are 0-based (0..n-1) and the
+degree is at most 8.
 """
 
 from __future__ import annotations
 
-import operator
 from itertools import permutations as all_images
 from math import gcd
 
@@ -110,31 +118,48 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     """brute_count(n, family) for every family, from one pass over the pairs.
 
     The outer loop visits one representative s per cycle type, weighted by
-    its class size; the inner loop visits every t of S_n once.  Each
-    commutator is tested once, and generation is decided once per pair
+    its class size; for each s the commutators with every t of S_n are
+    tested at once, column by column.  Generation is decided once per pair
     whose commutator is a 3-cycle.  The subfamilies are picked out by the
     same cycle-type filters as brute_count.
 
     [s, t] = s t s^-1 t^-1 moves the point t(y) exactly when
     t(s^-1(y)) != s^-1(t(y)), so the number of points it moves is the
-    number of places where the images of t s^-1 and s^-1 t differ.
+    number of places y where the images of t s^-1 and s^-1 t differ.
+    columns[y - 1] holds t(y) - 1 for every t, one byte per t in the order
+    of itertools.permutations.  Over every t at once, the 0-based images
+    of y under t s^-1 are columns[s^-1(y) - 1], and those under s^-1 t are
+    columns[y - 1] translated through s^-1.  XOR-ing the two columns as
+    big integers leaves a non-zero byte exactly where they differ; folding
+    its three low bits onto bit 0 and adding over y counts the differences
+    of every t in its own byte.  The values are 0-based and _check_degree
+    keeps n <= 8, so every value and every XOR fits in 3 bits (the fold
+    needs exactly the shifts by 1 and 2) and no byte count exceeds 8 (no
+    carry into the next byte).
     """
     _check_degree(n, allow_n8)
     images = list(all_images(range(1, n + 1)))
+    columns = [bytes(column) for column in zip(*all_images(range(n)))]
+    column_ints = [int.from_bytes(column, "big") for column in columns]
+    low_bits = int.from_bytes(b"\x01" * len(images), "big")
     totals = dict.fromkeys(FAMILIES, 0)
     for flag_list in enumerate_partitions(n):
         flag = tuple(flag_list)
         s_img = _rep_from_flag(flag, n)
-        s_inv = inverse(s_img)
-        after_s_inv = operator.itemgetter(*(y - 1 for y in s_inv))  # t -> t s^-1
-        s_inv_of = (0, *s_inv).__getitem__  # 1-based s^-1
+        s_inv = [x - 1 for x in inverse(s_img)]
+        through_s_inv = bytes(s_inv).ljust(256, b"\0")
+        moved = 0
+        for y, column in enumerate(columns):
+            diff = column_ints[s_inv[y]] ^ int.from_bytes(column.translate(through_s_inv), "big")
+            moved += (diff | diff >> 1 | diff >> 2) & low_bits
+        moved_per_t = moved.to_bytes(len(images), "big")
         hits = generating = 0
-        for t_img in images:
-            if sum(map(operator.ne, after_s_inv(t_img), map(s_inv_of, t_img))) != 3:
-                continue
+        i = moved_per_t.find(3)
+        while i >= 0:
             hits += 1
-            if groups.generates_alt_or_sym(s_img, t_img) != groups.NEITHER:
+            if groups.generates_alt_or_sym(s_img, images[i]) != groups.NEITHER:
                 generating += 1
+            i = moved_per_t.find(3, i + 1)
         size = conjugacy_class_size(flag)
         for family in FAMILIES:
             if _s_filter(family, flag):

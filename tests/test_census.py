@@ -191,6 +191,13 @@ def test_bound_report():
         bound_report(2)
 
 
+def test_count_b_series_matches_count_b():
+    values = census._count_b_series(census._psi_series(1, 2000))
+    assert len(values) == 2001
+    assert values[:3] == [0, 0, 0]
+    assert all(values[n] == count_b(n) for n in range(3, 2001))
+
+
 def test_significant_digits():
     assert significant_digits(Fraction(1)) == "1.00000"
     assert significant_digits(Fraction(9, 10)) == "0.900000"

@@ -142,6 +142,18 @@ def test_verify_characters_json(capsys):
     assert summary == {"characters": {"passed": True, "failures": []}}
 
 
+def test_verify_characters_reaches_degree_8(capsys, monkeypatch):
+    from permcensus import census
+
+    real_count_b = census.count_b
+    monkeypatch.setattr(census, "count_b", lambda n: real_count_b(n) + (n == 8))
+    code, out, _ = run_cli(
+        capsys, "verify", "--suites", "characters", "--max-n", "8", "--allow-n8"
+    )
+    assert code == 1
+    assert out.splitlines()[1:] == ["  FAIL character sum counts all pairs at n = 8"]
+
+
 def test_verify_runs_a_repeated_suite_once(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suites", "characters", "formulas", "characters",

@@ -45,9 +45,14 @@ def test_class_collapse_agrees_at_six(family):
     assert brute_count(6, family, full=True) == brute_count(6, family)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_single_pass_matches_per_family_counts(n):
     assert brute_counts(n) == {family: brute_count(n, family) for family in FAMILIES}
+
+
+def test_single_pass_matches_formulas_at_eight():
+    counts = brute_counts(8, allow_n8=True)
+    assert counts == {family: formula_value(8, family) * factorial(8) for family in FAMILIES}
 
 
 def test_single_pass_argument_validation():

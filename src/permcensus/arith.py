@@ -14,6 +14,7 @@ import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -101,23 +102,53 @@ _SIGMA_TABLES: dict[int, list[int]] = {}
 
 
 def sigma_table(bound: int, k: int = 1) -> list[int]:
-    """sigma_k(i) for i in 0..bound as a list (slot 0 holds 0).
+    """sigma_k(i) for i in 0..bound as a list (slot 0 holds 0), for k >= 0.
+
+    sigma_k is multiplicative, so with p the smallest prime factor of n
+    and p^e the largest power of p dividing n, sigma_k(n) =
+    sigma_k(p^e) sigma_k(n / p^e), and sigma_k(p^e) = sigma_k(p^(e-1)) +
+    (p^e)^k.  A smallest-prime-factor sieve gives p, and p^e follows from
+    the entry of n / p.
 
     The table is cached per k and regrown geometrically; a longer table is
     built in full and published with one assignment.  Treat the returned
     list as read-only.
     """
+    if k < 0:
+        raise ValueError(f"sigma_table expects k >= 0, got {k}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     table = _SIGMA_TABLES.get(k)
     if table is None or len(table) <= bound:
         top = max(bound, 2 * len(table) if table else 64)
+        spf = _smallest_prime_factors(top)
         fresh = [0] * (top + 1)
-        for d in range(1, top + 1):
-            dk = d**k
-            for m in range(d, top + 1, d):
-                fresh[m] += dk
+        fresh[1] = 1
+        prime_power = [1] * (top + 1)  # the largest power of spf[n] dividing n
+        for n in range(2, top + 1):
+            p = spf[n]
+            rest = n // p
+            pe = prime_power[n] = prime_power[rest] * p if spf[rest] == p else p
+            if pe == n:
+                fresh[n] = fresh[rest] + n**k
+            else:
+                fresh[n] = fresh[pe] * fresh[n // pe]
         _SIGMA_TABLES[k] = fresh
         return fresh
     return table
+
+
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime dividing n, for 2 <= n <= limit (spf[1] = 1).
+
+    A composite n with smallest prime p is at least p^2, so it lies in the
+    slice of multiples of p from p^2; the primes are applied largest first,
+    so the smallest one is written last.
+    """
+    spf = list(range(limit + 1))
+    for p in reversed(primes_up_to(isqrt(limit))):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
 
 
 class ArithSeq:
@@ -303,7 +334,12 @@ def moebius_scaled_divisor_sum(n: int, k: int) -> Fraction:
     """sum over d | n of mu(d) / d^k, equal to prod over p | n of (1 - p^-k).
 
     Computed as one Fraction: (sum over d | n of mu(d) (n/d)^k) / n^k.
+    Only the squarefree d contribute, so the sum runs over the products d
+    of distinct primes of n, each with the sign (-1)^(number of primes).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return Fraction(sum(moebius(d) * (n // d) ** k for d in divisors(n)), n**k)
+    signed = [(1, 1)]
+    for p, _ in factorize(n):
+        signed += [(d * p, -sign) for d, sign in signed]
+    return Fraction(sum(sign * (n // d) ** k for d, sign in signed), n**k)

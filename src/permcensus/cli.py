@@ -83,6 +83,18 @@ def cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Usage errors are reported before the suites' modules are loaded.
+    unknown = [name for name in args.suites if name not in SUITE_NAMES]
+    if unknown:
+        print(f"verify: unknown suite(s) {', '.join(unknown)}; "
+              f"choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
+        return 2
+    if not 3 <= args.max_n <= 8:
+        print(f"verify: --max-n must lie in 3..8, got {args.max_n}", file=sys.stderr)
+        return 2
+    if args.max_n == 8 and not args.allow_n8:
+        print("verify: --max-n 8 needs --allow-n8", file=sys.stderr)
+        return 2
     from permcensus import verify
 
     return verify.cmd_verify(args)
@@ -124,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-n", dest="max_n", type=int, default=5,
                      help="largest degree for brute-force suites (3..8, default 5)")
     ver.add_argument("--allow-n8", action="store_true",
-                     help="permit the degree-8 enumeration (about 0.5 s more "
+                     help="permit the degree-8 enumeration (about 0.2 s more "
                           "than --max-n 7)")
     ver.add_argument("--json", action="store_true",
                      help="also print a machine-readable JSON summary")

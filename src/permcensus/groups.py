@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import factorial
 
-from permcensus.perm import commutator, compose, inverse, signature
+from permcensus.perm import compose, inverse, signature
 
 ALT = "alt"
 SYM = "sym"
@@ -245,23 +245,32 @@ def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
     the order route must decide.
 
     When [s, t] is a 3-cycle (a b c), one closure decides primitivity.
-    Let B be a nontrivial block containing a.  If (a b c) moved B off
-    itself, B and its image would be disjoint; every point of B outside
-    {a, b, c} is fixed and would lie in both, so B would lie inside
-    {a, b, c}, and it could hold neither b (the image of a) nor c (whose
-    image is a), so B = {a}.  Hence (a b c) fixes B, and B contains b.
-    So <s, t> is primitive exactly when the smallest block containing
+    Let B be a nontrivial block containing a, where a is any point of the
+    3-cycle (the argument does not depend on which).  If (a b c) moved B
+    off itself, B and its image would be disjoint; every point of B
+    outside {a, b, c} is fixed and would lie in both, so B would lie
+    inside {a, b, c}, and it could hold neither b (the image of a) nor c
+    (whose image is a), so B = {a}.  Hence (a b c) fixes B, and B contains
+    b.  So <s, t> is primitive exactly when the smallest block containing
     {a, b} is the whole set, that is when the closure from (a, b) makes
     n - 1 merges.  Those merges also show transitivity, because the
     closure never leaves the orbit of a.
+
+    The commutator is never built.  [s, t] = s t s^-1 t^-1 moves the point
+    t(u) exactly when t(s^-1(u)) != s^-1(t(u)), so the moved points are
+    counted from s^-1 alone; for the first such u, a = t(u) is a point of
+    the 3-cycle and [s, t](a) = s(t(s^-1(u))).
     """
     n = _common_degree(s, t)
-    c = commutator(s, t)
-    moved = [x for x in range(1, n + 1) if c[x - 1] != x]
+    s_inv = [0] * (n + 1)
+    for x, y in enumerate(s, 1):
+        s_inv[y] = x
+    moved = [u for u in range(1, n + 1) if t[s_inv[u] - 1] != s_inv[t[u - 1]]]
     if len(moved) != 3:
         return None if is_primitive((s, t)) else NEITHER
-    a = moved[0]
-    if _merge_closure((s, t), list(range(n + 1)), a, c[a - 1]) != n - 1:
+    u = moved[0]
+    a, b = t[u - 1], s[t[s_inv[u] - 1] - 1]
+    if _merge_closure((s, t), list(range(n + 1)), a, b) != n - 1:
         return NEITHER
     return ALT if signature(s) == 1 and signature(t) == 1 else SYM
 

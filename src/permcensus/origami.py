@@ -227,25 +227,13 @@ def twist_count(a: int, b: int, k: int, ell: int) -> int:
     return k * ell * euler_phi(d) // d
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def lattice_generates_z2(vectors) -> bool:
     """Whether the integer span of the given 2-vectors is all of Z^2.
 
     Hermite reduction: fold each vector into a row-echelon pair
     [[a, b], [0, c]]; the span is Z^2 exactly when |a*c| = 1.  Fewer than
-    two independent vectors never suffice.
+    two independent vectors never suffice.  Folding (x, y) into the first
+    row takes the extended gcd u*a + v*x = g of the leading entries.
     """
     a = b = c = 0
     for vx, vy in vectors:
@@ -256,7 +244,12 @@ def lattice_generates_z2(vectors) -> bool:
         if a == 0:
             a, b = abs(x), y if x > 0 else -y
             continue
-        g, u, v = _xgcd(a, x)
+        g, r, u, u_next, v, v_next = a, x, 1, 0, 0, 1
+        while r:
+            q = g // r
+            g, r = r, g - q * r
+            u, u_next = u_next, u - q * u_next
+            v, v_next = v_next, v - q * v_next
         new_b = u * b + v * y
         leftover = (x // g) * b - (a // g) * y
         a, b = g, new_b

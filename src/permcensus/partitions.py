@@ -10,6 +10,11 @@ _TABLE: list[int] = [1]
 def partition_table(bound: int) -> list[int]:
     """P(0..bound) as a list, built by the pentagonal-number recurrence.
 
+    P(n) = sum over the generalized pentagonal numbers g = j(3j -+ 1)/2 <= n
+    of +-P(n - g), the sign + for odd j and - for even j.  The offsets up
+    to the new length are listed once per growth, split by sign into two
+    ascending lists, so each n is two short loops.
+
     The module cache grows geometrically.  A longer table is built in a new
     list and published with one assignment, so a caller in another thread
     sees either the old complete table or the new one, never a half-grown
@@ -23,23 +28,37 @@ def partition_table(bound: int) -> list[int]:
         return table
     table = list(table)
     top = max(bound, 2 * (len(table) - 1))
-    while len(table) <= top:
-        n = len(table)
+    plus, minus = _pentagonal_offsets(top)
+    for n in range(len(table), top + 1):
         total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > n:
+        for g in plus:
+            if g > n:
                 break
-            sign = 1 if j % 2 else -1
-            total += sign * table[n - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= n:
-                total += sign * table[n - g2]
-            j += 1
+            total += table[n - g]
+        for g in minus:
+            if g > n:
+                break
+            total -= table[n - g]
         table.append(total)
     _TABLE = table
     return table
+
+
+def _pentagonal_offsets(top: int) -> tuple[list[int], list[int]]:
+    """The offsets j(3j - 1)/2 and j(3j + 1)/2 of every j with j(3j - 1)/2 <= top.
+
+    They come as two ascending lists: those of odd j (sign +), then those
+    of even j (sign -).
+    """
+    plus: list[int] = []
+    minus: list[int] = []
+    j = 1
+    while j * (3 * j - 1) // 2 <= top:
+        offsets = plus if j % 2 else minus
+        offsets.append(j * (3 * j - 1) // 2)
+        offsets.append(j * (3 * j + 1) // 2)
+        j += 1
+    return plus, minus
 
 
 def partition_count(n: int) -> int:

@@ -159,8 +159,23 @@ def cycle_structure(s: Sequence[int]) -> CycleStructure:
 
 
 def signature(s: Sequence[int]) -> int:
-    """+1 for even permutations, -1 for odd ones."""
-    return -1 if (len(s) - len(cycle_structure(s).cycles)) % 2 else 1
+    """+1 for even permutations, -1 for odd ones.
+
+    The parity of n minus the number of cycles; the cycles are counted by
+    marking their points, without building the decomposition.
+    """
+    n = len(s)
+    seen = bytearray(n + 1)
+    cycles = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cycles += 1
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = s[x - 1]
+    return -1 if (n - cycles) % 2 else 1
 
 
 def s_distance(s: Sequence[int], x: int, y: int) -> int | float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from fractions import Fraction
 from math import factorial, gcd, prod
 
@@ -263,21 +264,17 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    unknown = [name for name in args.suites if name not in _SUITES]
-    if unknown:
-        print(f"verify: unknown suite(s) {', '.join(unknown)}; "
-              f"choose from {', '.join(_SUITES)}", file=sys.stderr)
-        return 2
-    if not 3 <= args.max_n <= 8:
-        print(f"verify: --max-n must lie in 3..8, got {args.max_n}", file=sys.stderr)
-        return 2
-    if args.max_n == 8 and not args.allow_n8:
-        print("verify: --max-n 8 needs --allow-n8", file=sys.stderr)
-        return 2
+    """Run the chosen suites; the command line has already checked the arguments.
+
+    stdout gets one status line per suite (and the --json summary);
+    stderr gets a line before each suite and its wall time after it.
+    """
     results = {}
     for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order
         print(f"running suite {name} ...", file=sys.stderr)
+        start = time.perf_counter()
         failures = _SUITES[name](args.max_n, args.allow_n8)
+        print(f"suite {name} took {time.perf_counter() - start:.3f} s", file=sys.stderr)
         results[name] = failures
         status = "ok" if not failures else f"{len(failures)} failure(s)"
         print(f"suite {name}: {status}")

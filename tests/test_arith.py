@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from permcensus import arith
 from permcensus.arith import (
     ArithSeq,
     dirichlet_convolve,
@@ -114,12 +115,22 @@ def test_primes():
     assert primes_up_to(541)[-2:] == [523, 541]
 
 
-def test_sigma_table_matches_sigma_k():
-    for k in range(4):
-        table = sigma_table(300, k)
-        assert table[0] == 0
-        for n in range(1, 301):
-            assert table[n] == sigma_k(n, k)
+def test_sigma_table_matches_sigma_k(monkeypatch):
+    """Every k <= 5 and n <= 3000, through the regrowth of each cached table."""
+    monkeypatch.setattr(arith, "_SIGMA_TABLES", {})
+    for k in range(6):
+        for bound in (10, 700, 3000):
+            table = sigma_table(bound, k)
+            assert len(table) > bound
+            assert table[: bound + 1] == [0] + [sigma_k(n, k) for n in range(1, bound + 1)]
+
+
+@pytest.mark.parametrize("bound, k", [(5, -1), (-1, 1), (-1, -1)])
+def test_sigma_table_rejects_negative_arguments(monkeypatch, bound, k):
+    monkeypatch.setattr(arith, "_SIGMA_TABLES", {})
+    with pytest.raises(ValueError):
+        sigma_table(bound, k)
+    assert arith._SIGMA_TABLES == {}
 
 
 @given(st.integers(1, 200), st.integers(1, 200), st.integers(0, 3))
@@ -253,6 +264,14 @@ def test_moebius_scaled_divisor_sum_equals_euler_product():
             for p in primes:
                 product *= 1 - Fraction(1, p**k)
             assert moebius_scaled_divisor_sum(n, k) == product
+
+
+def test_moebius_scaled_divisor_sum_matches_all_divisor_sum():
+    """The squarefree-divisor sum against the sum of mu(d) (n/d)^k over every divisor."""
+    for n in range(1, 2001):
+        for k in range(4):
+            total = sum(moebius(d) * (n // d) ** k for d in divisors(n))
+            assert moebius_scaled_divisor_sum(n, k) == Fraction(total, n**k)
 
 
 def test_completely_multiplicative_distributes_over_convolution():

@@ -175,6 +175,20 @@ def test_verify_deep_all_suites_pass(capsys):
     }
 
 
+def test_verify_reports_each_suite_time_on_stderr(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suites", "characters", "bounds", "characters", "--max-n", "4"
+    )
+    assert code == 0
+    assert "took" not in out
+    timed = [line for line in err.splitlines() if " took " in line]
+    assert [line.split()[1] for line in timed] == ["characters", "bounds"]
+    for line in timed:
+        prefix, seconds, unit = line.rsplit(" ", 2)
+        assert prefix in ("suite characters took", "suite bounds took")
+        assert float(seconds) >= 0 and unit == "s"
+
+
 def test_verify_argument_validation(capsys):
     code, _, err = run_cli(capsys, "verify", "--suites", "nope")
     assert code == 2

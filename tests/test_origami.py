@@ -150,6 +150,33 @@ def test_twist_count_closed_form():
             assert twist_count(1, 1, k, ell) == k * ell * jordan_totient(d, 1) // d
 
 
+def reference_lattice_generates_z2(vectors):
+    """Hermite reduction with the extended gcd as its own function."""
+
+    def xgcd(a, b):
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        return old_r, old_s, old_t
+
+    a = b = c = 0
+    for x, y in vectors:
+        if x == 0:
+            c = gcd(c, y)
+            continue
+        if a == 0:
+            a, b = abs(x), y if x > 0 else -y
+            continue
+        g, u, v = xgcd(a, x)
+        a, b, c = g, u * b + v * y, gcd(c, (x // g) * b - (a // g) * y)
+    return a == 1 and c == 1
+
+
 def test_lattice_examples():
     assert lattice_generates_z2([(1, 0), (0, 1)])
     assert not lattice_generates_z2([(2, 0), (0, 1)])
@@ -158,6 +185,8 @@ def test_lattice_examples():
     assert not lattice_generates_z2([(0, 1), (0, 1), (2, 0), (2, 0)])
     assert lattice_generates_z2([(1, 1), (0, 2), (2, 0), (3, 0)])
     assert lattice_generates_z2([(3, 0), (0, 1), (1, 0)])
+    for vectors in ([(6, 4), (-9, 3), (4, 0)], [(-3, 1), (5, 2)], [(4, 2), (6, 3)]):
+        assert lattice_generates_z2(vectors) == reference_lattice_generates_z2(vectors)
 
 
 def test_lattice_four_tuple_matches_gcd_criterion():
@@ -173,6 +202,7 @@ def test_lattice_four_tuple_matches_gcd_criterion():
                         vectors = [(alpha, a), (beta, b), (k, 0), (ell, 0)]
                         expected = gcd(k, ell, a * beta - b * alpha) == 1
                         assert lattice_generates_z2(vectors) == expected
+                        assert reference_lattice_generates_z2(vectors) == expected
 
 
 def test_step_divisor_triples():

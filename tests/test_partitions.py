@@ -43,6 +43,33 @@ def test_pentagonal_recurrence_against_coin_counting():
     assert partition_table(bound)[: bound + 1] == coin_count_table(bound)
 
 
+def per_n_pentagonal_table(bound):
+    """P(0..bound) by the pentagonal recurrence, the offsets recomputed for each n."""
+    table = [1]
+    for n in range(1, bound + 1):
+        total = 0
+        j = 1
+        while j * (3 * j - 1) // 2 <= n:
+            sign = 1 if j % 2 else -1
+            total += sign * table[n - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= n:
+                total += sign * table[n - j * (3 * j + 1) // 2]
+            j += 1
+        table.append(total)
+    return table
+
+
+def test_partition_table_matches_per_n_recurrence_through_regrowth(monkeypatch):
+    reference = per_n_pentagonal_table(3000)
+    monkeypatch.setattr(partitions, "_TABLE", [1])
+    for bound in (10, 700, 3000):
+        table = partition_table(bound)
+        assert len(table) > bound
+        assert table[: bound + 1] == reference[: bound + 1]
+    for n in range(1, 16):
+        assert table[n] == sum(1 for _ in enumerate_partitions(n))
+
+
 def test_enumeration_of_four():
     assert list(enumerate_partitions(4)) == [
         (1, 1, 1, 1),

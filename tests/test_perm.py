@@ -137,6 +137,14 @@ def test_signature_examples():
     assert signature(identity(5)) == 1
 
 
+def test_signature_matches_cycle_structure_parity():
+    """The parity count against the cycle decomposition, every permutation of degree <= 6."""
+    for n in range(1, 7):
+        for img in itertools.permutations(range(1, n + 1)):
+            cycles = cycle_structure(img).cycles
+            assert signature(img) == (-1 if (n - len(cycles)) % 2 else 1)
+
+
 @given(permutation_pairs())
 def test_signature_is_multiplicative(pair):
     s, t = pair

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import permcensus
 
 PACKAGE = Path(permcensus.__file__).parent
@@ -50,6 +52,18 @@ def test_verify_does_not_import_dataclasses():
     imported = imported_modules(result.stderr)
     assert "permcensus.verify" in imported
     assert "dataclasses" not in imported
+
+
+@pytest.mark.parametrize("argv", [("--suites", "nope"), ("--max-n", "9"), ("--max-n", "8")])
+def test_verify_usage_errors_come_before_the_suite_imports(argv):
+    result = run_python("-X", "importtime", "-m", "permcensus", "verify", *argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines()
+            if not line.startswith("import time:")][0].startswith("verify: ")
+    imported = imported_modules(result.stderr)
+    assert "permcensus.oracle" not in imported
+    assert "permcensus.verify" not in imported
 
 
 def test_star_import_binds_every_module():

@@ -7,7 +7,11 @@ Census rows reproduce the two classical report layouts:
                              proba1 = a1/b1, proba2 = n a2/b2
 
 Counts are exact integers; probabilities carry six significant digits.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Each row computes only the counts its layout prints, and is written as
+soon as it is computed, so `census --to 10000 | head -1` does not wait
+for the rest of the range.
+Exit codes: 0 success, 1 verification failure or failed write, 2 usage
+error.
 
 Importing this module loads census, arith and partitions, and no other
 module of the package.  The verification suites live in verify.py, which
@@ -31,21 +35,22 @@ SUITE_NAMES = ("formulas", "identities", "origami", "characters", "bounds")
 
 
 def _census_main_row(n: int) -> tuple:
-    row = census.census_row(n)
-    proba = Fraction(partitions.partition_count(n) * row.a, n * row.b)
-    return (n, row.a, row.b, significant_digits(proba))
+    a, b = census.count_a(n), census.count_b(n)
+    proba = Fraction(partitions.partition_count(n) * a, n * b)
+    return (n, a, b, significant_digits(proba))
 
 
 def _census_cycles_row(n: int) -> tuple:
-    row = census.census_row(n)
+    a1, b1 = census.count_a1(n), census.count_b1(n)
+    a2, b2 = census.count_a2(n), census.count_b2(n)
     return (
         n,
-        row.a1,
-        row.b1,
-        significant_digits(row.p1),
-        row.a2,
-        row.b2,
-        significant_digits(n * row.p2),
+        a1,
+        b1,
+        significant_digits(Fraction(a1, b1)),
+        a2,
+        b2,
+        significant_digits(Fraction(n * a2, b2)),
     )
 
 
@@ -60,25 +65,31 @@ def cmd_census(args) -> int:
         print(f"census: need 3 <= --from <= --to, got {args.start}..{args.stop}",
               file=sys.stderr)
         return 2
-    row_fn = _census_main_row if args.family == "main" else _census_cycles_row
-    census.build_tables(args.stop)
-    rows = [row_fn(n) for n in range(args.start, args.stop + 1)]
+    if args.family == "main":
+        census.build_tables(args.stop)  # once, so that no row regrows a table
+        row_fn = _census_main_row
+    else:
+        row_fn = _census_cycles_row
 
     header = _HEADERS[args.family]
-    out = sys.stdout
-    if args.format == "plain":
-        for row in rows:
-            out.write(" ".join(str(field) for field in row) + "\n")
-    elif args.format == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(field) for field in row) + "\n")
-    else:
+    if args.format == "jsonl":
         import json
 
-        for row in rows:
-            record = dict(zip(header, row))
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+        def render(row: tuple) -> str:
+            return json.dumps(dict(zip(header, row)), separators=(",", ":"))
+    else:
+        sep = "," if args.format == "csv" else " "
+
+        def render(row: tuple) -> str:
+            return sep.join(map(str, row))
+
+    # Each row goes to stdout as soon as it is computed; stdout's own
+    # buffering decides when a reader sees it (no flush per row).
+    out = sys.stdout
+    if args.format == "csv":
+        out.write(",".join(header) + "\n")
+    for n in range(args.start, args.stop + 1):
+        out.write(render(row_fn(n)) + "\n")
     return 0
 
 

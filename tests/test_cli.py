@@ -266,11 +266,70 @@ def test_thread_count_below_one_is_a_usage_error(threads):
     assert "--threads" in result.stderr and repr(threads) in result.stderr
 
 
-def test_wide_census_matches_recorded_digest():
-    """census --to 5000, far past the golden file's 255, pinned by its sha256."""
+# Census runs far past the golden file's 255, each pinned by the sha256 of its
+# stdout.  None stands for the census --to 5000 digest in perfbench/reference.json;
+# the others cover layouts and formats that no other digest covers, recorded
+# from the output of commit 1b7f895, which computed every row before writing any.
+CENSUS_DIGESTS = [
+    pytest.param(("--to", "5000"), None, id="main-plain-to-5000"),
+    pytest.param(("--family", "cycles", "--to", "2000"),
+                 "f2e7d9f8f5937d27aeaa90ea2ba7eea676c02e0d1d2a6f1250d072b438434e9f",
+                 id="cycles-plain-to-2000"),
+    pytest.param(("--format", "csv", "--to", "2000"),
+                 "811a50fef8087c928839fb00a3b891f620bd1dcec29b6491df73299f4f3d052f",
+                 id="main-csv-to-2000"),
+    pytest.param(("--format", "jsonl", "--to", "2000"),
+                 "b7378f87f170e0157b8ad24556bce39f114da22c0183a841c2f82df7f5ee5648",
+                 id="main-jsonl-to-2000"),
+    pytest.param(("--family", "cycles", "--format", "jsonl", "--to", "2000"),
+                 "7c506076e11b728f5b928e881ec174c01276261e11e8f09b8c18a4d1f971ebcc",
+                 id="cycles-jsonl-to-2000"),
+    pytest.param(("--family", "cycles", "--format", "csv", "--from", "100", "--to", "2000"),
+                 "9245c1b925594f6b8000f34ac5d270e2773a6d899ce3fb72bc5fa39d5f959f1d",
+                 id="cycles-csv-from-100-to-2000"),
+]
+
+
+@pytest.mark.parametrize("argv, want", CENSUS_DIGESTS)
+def test_wide_census_matches_recorded_digest(argv, want):
     result = subprocess.run(
-        [sys.executable, "-m", "permcensus", "census", "--to", "5000"], capture_output=True
+        [sys.executable, "-m", "permcensus", "census", *argv], capture_output=True
     )
     assert result.returncode == 0
-    want = json.loads(REFERENCE.read_text())["census_to_5000_sha256"]
+    if want is None:
+        want = json.loads(REFERENCE.read_text())["census_to_5000_sha256"]
     assert hashlib.sha256(result.stdout).hexdigest() == want
+
+
+def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch):
+    from permcensus import census
+
+    real_count_b = census.count_b
+
+    def fails_at_10(n):
+        if n == 10:
+            raise ArithmeticError("count_b(10) is not an integer (this is a bug)")
+        return real_count_b(n)
+
+    monkeypatch.setattr(census, "count_b", fails_at_10)
+    with pytest.raises(ArithmeticError):
+        main(["census", "--to", "20"])
+    written = capsys.readouterr().out
+    assert written.splitlines(keepends=True) == GOLDEN.read_text().splitlines(keepends=True)[:7]
+
+
+def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
+    from permcensus import census
+
+    argv = ("census", "--family", "cycles", "--to", "50")
+    _, want, _ = run_cli(capsys, *argv)
+
+    def not_read(*args):
+        raise AssertionError("the cycles layout prints no count_b column")
+
+    monkeypatch.setattr(census, "count_b", not_read)
+    monkeypatch.setattr(census, "build_tables", not_read)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == want
+    assert err == ""

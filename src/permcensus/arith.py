@@ -98,43 +98,30 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if flags[p]]
 
 
-_SIGMA_TABLES: dict[int, list[int]] = {}
-
-
 def sigma_table(bound: int, k: int = 1) -> list[int]:
-    """sigma_k(i) for i in 0..bound as a list (slot 0 holds 0), for k >= 0.
+    """sigma_k(i) for i in 0..bound as a new list (slot 0 holds 0), for k >= 0.
 
     sigma_k is multiplicative, so with p the smallest prime factor of n
     and p^e the largest power of p dividing n, sigma_k(n) =
     sigma_k(p^e) sigma_k(n / p^e), and sigma_k(p^e) = sigma_k(p^(e-1)) +
     (p^e)^k.  A smallest-prime-factor sieve gives p, and p^e follows from
     the entry of n / p.
-
-    The table is cached per k and regrown geometrically; a longer table is
-    built in full and published with one assignment.  Treat the returned
-    list as read-only.
     """
     if k < 0:
         raise ValueError(f"sigma_table expects k >= 0, got {k}")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    table = _SIGMA_TABLES.get(k)
-    if table is None or len(table) <= bound:
-        top = max(bound, 2 * len(table) if table else 64)
-        spf = _smallest_prime_factors(top)
-        fresh = [0] * (top + 1)
-        fresh[1] = 1
-        prime_power = [1] * (top + 1)  # the largest power of spf[n] dividing n
-        for n in range(2, top + 1):
-            p = spf[n]
-            rest = n // p
-            pe = prime_power[n] = prime_power[rest] * p if spf[rest] == p else p
-            if pe == n:
-                fresh[n] = fresh[rest] + n**k
-            else:
-                fresh[n] = fresh[pe] * fresh[n // pe]
-        _SIGMA_TABLES[k] = fresh
-        return fresh
+    spf = _smallest_prime_factors(bound)
+    table = [0, 1][: bound + 1]  # sigma_k(0) = 0 by convention, sigma_k(1) = 1
+    prime_power = [1] * (bound + 1)  # the largest power of spf[n] dividing n
+    for n in range(2, bound + 1):
+        p = spf[n]
+        rest = n // p
+        pe = prime_power[n] = prime_power[rest] * p if spf[rest] == p else p
+        if pe == n:
+            table.append(table[rest] + n**k)
+        else:
+            table.append(table[pe] * table[n // pe])
     return table
 
 

@@ -67,51 +67,44 @@ def count_a2(n: int) -> int:
     return count_a1(n) + (n + 1) * (n - 2) // 2
 
 
-_WEIGHT_TABLES: dict[int, list[int]] = {}
+class Tables(namedtuple("Tables", "p sig3 ksig")):
+    """The tables count_b reads, as tuples over 0..bound: P(k), sigma_3(k), k sigma(k)."""
+
+    __slots__ = ()
 
 
-def build_tables(bound: int) -> None:
-    """Build every table count_b reads, up to degree bound, at once.
+def build_tables(bound: int) -> Tables:
+    """Build the tables count_b reads up to degree bound, once.
 
-    A census over a range calls this with its last degree first, so that
-    no row regrows a table and no table overshoots the range.
+    A census over a range builds them for its last degree and passes them
+    to every row.
     """
-    partition_table(bound)
-    sigma_table(bound, 3)
-    _weight_table(1, bound)
+    return Tables(
+        tuple(partition_table(bound)),
+        tuple(sigma_table(bound, 3)),
+        tuple(_weights(1, bound)),
+    )
 
 
-def _check_tables(n: int, *tables: list[int]) -> None:
-    """Refuse tables that end before n: map() would stop short without a word."""
-    if min(map(len, tables)) <= n:
-        raise ArithmeticError(f"a table ends before {n} (this is a bug)")
+def _weights(a: int, bound: int) -> list[int]:
+    """k^a sigma(k) for k in 0..bound (slot 0 holds 0)."""
+    return [k**a * sig for k, sig in enumerate(sigma_table(bound))]
 
 
-def _weight_table(a: int, bound: int) -> list[int]:
-    """k^a * sigma(k) for k in 0..bound (cached, grown geometrically).
-
-    A longer table is built in full and published with one assignment.
-    """
-    table = _WEIGHT_TABLES.get(a)
-    if table is None or len(table) <= bound:
-        top = max(bound, 2 * len(table) if table else 64)
-        sig = sigma_table(top)
-        table = [k**a * sig[k] for k in range(top + 1)]
-        _WEIGHT_TABLES[a] = table
-    return table
-
-
-def count_b(n: int) -> int:
+def count_b(n: int, tables: Tables | None = None) -> int:
     """All pairs with 3-cycle commutator, over n!.
 
     (3/8) [ sum_k sigma_3(k) P(n-k)  -  2 sum_k k sigma(k) P(n-k)  +  n P(n) ],
-    both sums over 1 <= k <= n.
+    both sums over 1 <= k <= n.  tables must reach degree n; without them
+    count_b builds build_tables(n).
     """
     _check_degree(n)
-    table = partition_table(n)
-    sig3 = sigma_table(n, 3)
-    weights = _weight_table(1, n)
-    _check_tables(n, table, sig3, weights)
+    if tables is None:
+        tables = build_tables(n)
+    # map() would stop short without a word on a table that ends before n.
+    if min(map(len, tables)) <= n:
+        raise ArithmeticError(f"a table ends before {n} (this is a bug)")
+    table, sig3, weights = tables
     rev = table[n - 1 :: -1]
     s3 = sum(map(operator.mul, sig3[1 : n + 1], rev))
     s1 = sum(map(operator.mul, weights[1 : n + 1], rev))
@@ -136,9 +129,7 @@ def psi(a, n: int):
         raise ValueError(f"psi needs a >= 0 when a is an integer, got a = {a}")
     table = partition_table(n)
     if isinstance(a, int):
-        weights = _weight_table(a, n)
-        _check_tables(n, table, weights)
-        return sum(map(operator.mul, weights[1 : n + 1], table[n - 1 :: -1]))
+        return sum(map(operator.mul, _weights(a, n)[1:], table[n - 1 :: -1]))
     sig = sigma_table(n)
     exponent = float(a)
     return sum(k**exponent * sig[k] * table[n - k] for k in range(1, n + 1))
@@ -150,8 +141,7 @@ def _psi_series(a: int, bound: int) -> list[int]:
     Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of the product
     with P is exactly the sum over 1 <= k <= n.
     """
-    weights = _weight_table(a, bound)[: bound + 1]
-    return series_product(weights, partition_table(bound)[: bound + 1])
+    return series_product(_weights(a, bound), partition_table(bound))
 
 
 def _count_b_series(psi1: list[int]) -> list[int]:
@@ -162,8 +152,8 @@ def _count_b_series(psi1: list[int]) -> list[int]:
     3 (S_3(n) - 2 psi_1(n) + n P(n)) / 8 is count_b's own formula.
     """
     bound = len(psi1) - 1
-    table = partition_table(bound)[: bound + 1]
-    s3 = series_product(sigma_table(bound, 3)[: bound + 1], table)
+    table = partition_table(bound)
+    s3 = series_product(sigma_table(bound, 3), table)
     return [_exact_div(3 * (s3[n] - 2 * psi1[n] + n * table[n]), 8, f"count_b({n})")
             for n in range(bound + 1)]
 
@@ -233,6 +223,8 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
     around 24/pi^2); kind "pa" is P(n)*a/(n*b), the generating
     probability rescaled by its decay rate.
     """
+    degrees = list(degrees)
+    tables = build_tables(max(degrees, default=0)) if kind == "pa" else None
     out = []
     for n in degrees:
         _check_degree(n)
@@ -241,7 +233,7 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
         elif kind == "p2":
             exact = Fraction(n * count_a2(n), count_b2(n))
         elif kind == "pa":
-            exact = Fraction(partition_table(n)[n] * count_a(n), n * count_b(n))
+            exact = Fraction(tables.p[n] * count_a(n), n * count_b(n, tables))
         else:
             raise ValueError(f"unknown diagnostic {kind!r}; expected p1, p2 or pa")
         out.append(DiagnosticPoint(n, exact))

@@ -24,8 +24,9 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
-from permcensus import census, partitions
+from permcensus import census
 from permcensus.census import significant_digits
 
 DEFAULT_FROM = 3
@@ -34,9 +35,9 @@ DEFAULT_TO = 255
 SUITE_NAMES = ("formulas", "identities", "origami", "characters", "bounds")
 
 
-def _census_main_row(n: int) -> tuple:
-    a, b = census.count_a(n), census.count_b(n)
-    proba = Fraction(partitions.partition_count(n) * a, n * b)
+def _census_main_row(n: int, tables: census.Tables) -> tuple:
+    a, b = census.count_a(n), census.count_b(n, tables)
+    proba = Fraction(tables.p[n] * a, n * b)
     return (n, a, b, significant_digits(proba))
 
 
@@ -66,8 +67,7 @@ def cmd_census(args) -> int:
               file=sys.stderr)
         return 2
     if args.family == "main":
-        census.build_tables(args.stop)  # once, so that no row regrows a table
-        row_fn = _census_main_row
+        row_fn = partial(_census_main_row, tables=census.build_tables(args.stop))
     else:
         row_fn = _census_cycles_row
 

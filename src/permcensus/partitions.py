@@ -4,32 +4,20 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-_TABLE: list[int] = [1]
-
 
 def partition_table(bound: int) -> list[int]:
-    """P(0..bound) as a list, built by the pentagonal-number recurrence.
+    """P(0..bound) as a new list, built by the pentagonal-number recurrence.
 
     P(n) = sum over the generalized pentagonal numbers g = j(3j -+ 1)/2 <= n
     of +-P(n - g), the sign + for odd j and - for even j.  The offsets up
-    to the new length are listed once per growth, split by sign into two
-    ascending lists, so each n is two short loops.
-
-    The module cache grows geometrically.  A longer table is built in a new
-    list and published with one assignment, so a caller in another thread
-    sees either the old complete table or the new one, never a half-grown
-    one.  Treat the returned list as read-only.
+    to bound are listed once, split by sign into two ascending lists, so
+    each n is two short loops.
     """
-    global _TABLE
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    table = _TABLE
-    if len(table) > bound:
-        return table
-    table = list(table)
-    top = max(bound, 2 * (len(table) - 1))
-    plus, minus = _pentagonal_offsets(top)
-    for n in range(len(table), top + 1):
+    table = [1]
+    plus, minus = _pentagonal_offsets(bound)
+    for n in range(1, bound + 1):
         total = 0
         for g in plus:
             if g > n:
@@ -40,7 +28,6 @@ def partition_table(bound: int) -> list[int]:
                 break
             total -= table[n - g]
         table.append(total)
-    _TABLE = table
     return table
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from permcensus import arith
 from permcensus.arith import (
     ArithSeq,
     dirichlet_convolve,
@@ -115,22 +114,26 @@ def test_primes():
     assert primes_up_to(541)[-2:] == [523, 541]
 
 
-def test_sigma_table_matches_sigma_k(monkeypatch):
-    """Every k <= 5 and n <= 3000, through the regrowth of each cached table."""
-    monkeypatch.setattr(arith, "_SIGMA_TABLES", {})
+def test_sigma_table_matches_sigma_k():
+    """Every k <= 5 and n <= 3000, each table exactly bound + 1 long."""
     for k in range(6):
-        for bound in (10, 700, 3000):
+        for bound in (0, 1, 2, 10, 700, 3000):
             table = sigma_table(bound, k)
-            assert len(table) > bound
-            assert table[: bound + 1] == [0] + [sigma_k(n, k) for n in range(1, bound + 1)]
+            assert len(table) == bound + 1
+            assert table == [0] + [sigma_k(n, k) for n in range(1, bound + 1)]
 
 
 @pytest.mark.parametrize("bound, k", [(5, -1), (-1, 1), (-1, -1)])
-def test_sigma_table_rejects_negative_arguments(monkeypatch, bound, k):
-    monkeypatch.setattr(arith, "_SIGMA_TABLES", {})
+def test_sigma_table_rejects_negative_arguments(bound, k):
     with pytest.raises(ValueError):
         sigma_table(bound, k)
-    assert arith._SIGMA_TABLES == {}
+
+
+def test_sigma_table_returns_a_new_list_each_call():
+    table = sigma_table(10, 3)
+    table[2] = -1
+    table.append(-1)
+    assert sigma_table(10, 3) == [0] + [sigma_k(n, 3) for n in range(1, 11)]
 
 
 @given(st.integers(1, 200), st.integers(1, 200), st.integers(0, 3))

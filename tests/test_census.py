@@ -11,6 +11,7 @@ from permcensus import census
 from permcensus.arith import jordan_totient, primes_up_to, sigma_k
 from permcensus.census import (
     bound_report,
+    build_tables,
     census_row,
     count_a,
     count_a1,
@@ -115,7 +116,6 @@ def test_psi_float_path():
 def test_psi_rejects_negative_integer_exponent():
     with pytest.raises(ValueError, match="a = -1"):
         psi(-1, 10)
-    assert -1 not in census._WEIGHT_TABLES
 
 
 def test_psi_sweeps_of_bound_report_match_psi():
@@ -195,7 +195,22 @@ def test_count_b_series_matches_count_b():
     values = census._count_b_series(census._psi_series(1, 2000))
     assert len(values) == 2001
     assert values[:3] == [0, 0, 0]
-    assert all(values[n] == count_b(n) for n in range(3, 2001))
+    tables = build_tables(2000)
+    assert all(values[n] == count_b(n) == count_b(n, tables) for n in range(3, 2001))
+
+
+def test_build_tables_are_tuples_of_bound_plus_one_entries():
+    tables = build_tables(300)
+    assert all(type(table) is tuple and len(table) == 301 for table in tables)
+    assert list(tables.p) == partition_table(300)
+    assert tables.sig3 == (0, *(sigma_k(k, 3) for k in range(1, 301)))
+    assert tables.ksig == (0, *(k * sigma_k(k, 1) for k in range(1, 301)))
+
+
+def test_count_b_refuses_tables_that_end_before_n():
+    with pytest.raises(ArithmeticError, match="before 10"):
+        count_b(10, build_tables(9))
+    assert count_b(9, build_tables(9)) == count_b(9)
 
 
 def test_significant_digits():

@@ -306,10 +306,10 @@ def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch):
 
     real_count_b = census.count_b
 
-    def fails_at_10(n):
+    def fails_at_10(n, tables=None):
         if n == 10:
             raise ArithmeticError("count_b(10) is not an integer (this is a bug)")
-        return real_count_b(n)
+        return real_count_b(n, tables)
 
     monkeypatch.setattr(census, "count_b", fails_at_10)
     with pytest.raises(ArithmeticError):
@@ -333,3 +333,42 @@ def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
     assert code == 0
     assert out == want
     assert err == ""
+
+
+# Imports every module of the package, records the length of each module-level
+# list, dict and set, runs a census and two verify suites in this one
+# interpreter, and prints the names whose length changed.
+GROWTH_PROBE = """
+import contextlib, importlib, io, json, pkgutil, sys
+import permcensus
+from permcensus.cli import main
+
+for info in pkgutil.iter_modules(permcensus.__path__):
+    if info.name != "__main__":
+        importlib.import_module("permcensus." + info.name)
+
+def sizes():
+    return {module.__name__ + "." + name: len(value)
+            for module in list(sys.modules.values())
+            if module.__name__.startswith("permcensus.")
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set))}
+
+before = sizes()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["census", "--to", "300"]),
+             main(["verify", "--suites", "identities", "bounds", "--max-n", "5"])]
+after = sizes()
+print(json.dumps({"codes": codes, "sizes": len(before),
+                  "grown": sorted(name for name in after if after[name] != before.get(name))}))
+"""
+
+
+def test_no_module_state_grows_during_a_run():
+    """Tables are built per run; no module-level list, dict or set keeps them."""
+    result = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0, 0]
+    assert report["sizes"] > 0
+    assert report["grown"] == []

@@ -1,13 +1,9 @@
 """Partition counting, enumeration and the divisor-sum identity."""
 
-import sys
-import threading
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permcensus import partitions
 from permcensus.arith import sigma_k
 from permcensus.partitions import enumerate_partitions, partition_count, partition_table
 
@@ -39,8 +35,8 @@ def test_rejects_negative():
 
 
 def test_pentagonal_recurrence_against_coin_counting():
-    bound = 500
-    assert partition_table(bound)[: bound + 1] == coin_count_table(bound)
+    for bound in (0, 1, 2, 500):
+        assert partition_table(bound) == coin_count_table(bound)
 
 
 def per_n_pentagonal_table(bound):
@@ -59,13 +55,12 @@ def per_n_pentagonal_table(bound):
     return table
 
 
-def test_partition_table_matches_per_n_recurrence_through_regrowth(monkeypatch):
+def test_partition_table_matches_per_n_recurrence_through_regrowth():
     reference = per_n_pentagonal_table(3000)
-    monkeypatch.setattr(partitions, "_TABLE", [1])
     for bound in (10, 700, 3000):
         table = partition_table(bound)
-        assert len(table) > bound
-        assert table[: bound + 1] == reference[: bound + 1]
+        assert len(table) == bound + 1
+        assert table == reference[: bound + 1]
     for n in range(1, 16):
         assert table[n] == sum(1 for _ in enumerate_partitions(n))
 
@@ -102,31 +97,8 @@ def test_sigma_partition_identity_explicitly():
         assert lhs == n * table[n] - sigma_k(n, 1)
 
 
-def test_partition_table_grown_from_many_threads(monkeypatch):
-    """Threads growing the shared table at once must leave it as one thread would."""
-    bound = 1500
-    monkeypatch.setattr(partitions, "_TABLE", [1])
-    results = {}
-
-    def grow(index):
-        for b in range(bound + 1):
-            table = partition_table(b)
-        results[index] = table[: bound + 1]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=grow, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    shared = partition_table(bound)[: bound + 1]
-    monkeypatch.setattr(partitions, "_TABLE", [1])
-    sequential = partition_table(bound)
-    assert shared == sequential
-    assert all(table == sequential for table in results.values())
-    assert len(results) == 8
+def test_partition_table_returns_a_new_list_each_call():
+    table = partition_table(10)
+    table[2] = -1
+    table.append(-1)
+    assert partition_table(10) == coin_count_table(10)

@@ -10,6 +10,12 @@ normalized by n! (the raw counts are all divisible by n!):
   count_b2  pairs in count_b with s a cycle of any length >= 2;
   count_a2  generating pairs with s a cycle of any length >= 2.
 
+count_b is the convolution t * P of the partition function P with the
+non-negative integers t(k) = 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8; the
+paper's (3/8) [sigma_3 * P - 2 (k sigma) * P + n P(n)] reduces to it by
+n P(n) = sum_k sigma(k) P(n - k).  The golden census file, the digest of
+`census --to 5000` and the brute-force oracle check it.
+
 All formulas are exact integer arithmetic with explicit divisibility
 checks; a non-integer intermediate would indicate a programming error,
 never rounding.
@@ -67,10 +73,8 @@ def count_a2(n: int) -> int:
     return count_a1(n) + (n + 1) * (n - 2) // 2
 
 
-class Tables(namedtuple("Tables", "p sig3 ksig")):
-    """The tables count_b reads, as tuples over 0..bound: P(k), sigma_3(k), k sigma(k)."""
-
-    __slots__ = ()
+# The tables count_b reads, as tuples over 0..bound: P(k) and t(k).
+Tables = namedtuple("Tables", "p t")
 
 
 def build_tables(bound: int) -> Tables:
@@ -79,24 +83,34 @@ def build_tables(bound: int) -> Tables:
     A census over a range builds them for its last degree and passes them
     to every row.
     """
-    return Tables(
-        tuple(partition_table(bound)),
-        tuple(sigma_table(bound, 3)),
-        tuple(_weights(1, bound)),
-    )
+    return Tables(tuple(partition_table(bound)), _t_table(sigma_table(bound)))
 
 
-def _weights(a: int, bound: int) -> list[int]:
-    """k^a sigma(k) for k in 0..bound (slot 0 holds 0)."""
-    return [k**a * sig for k, sig in enumerate(sigma_table(bound))]
+def _t_table(sig: list[int]) -> tuple[int, ...]:
+    """t(k) = 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8 for every k of sig = sigma_table(bound).
+
+    A message is formatted only for a numerator that 8 does not divide.
+    """
+    nums = [3 * (cube_sum - (2 * k - 1) * s)
+            for k, (s, cube_sum) in enumerate(zip(sig, sigma_table(len(sig) - 1, 3)))]
+    for k, num in enumerate(nums):
+        if num % 8:
+            _exact_div(num, 8, f"t({k})")
+    return tuple([num // 8 for num in nums])
+
+
+def _weights(a: int, sig: list[int]) -> list[int]:
+    """k^a sigma(k) for every k of the sigma table sig (slot 0 holds 0)."""
+    return [k**a * s for k, s in enumerate(sig)]
 
 
 def count_b(n: int, tables: Tables | None = None) -> int:
-    """All pairs with 3-cycle commutator, over n!.
+    """All pairs with 3-cycle commutator, over n!: (t * P)(n) = sum_k t(k) P(n-k).
 
-    (3/8) [ sum_k sigma_3(k) P(n-k)  -  2 sum_k k sigma(k) P(n-k)  +  n P(n) ],
-    both sums over 1 <= k <= n.  tables must reach degree n; without them
-    count_b builds build_tables(n).
+    The sum runs over 1 <= k <= n.  It equals the paper's
+    (3/8) [ sum_k sigma_3(k) P(n-k) - 2 sum_k k sigma(k) P(n-k) + n P(n) ]
+    because n P(n) = sum_k sigma(k) P(n-k).  tables must reach degree n;
+    without them count_b builds build_tables(n).
     """
     _check_degree(n)
     if tables is None:
@@ -104,11 +118,7 @@ def count_b(n: int, tables: Tables | None = None) -> int:
     # map() would stop short without a word on a table that ends before n.
     if min(map(len, tables)) <= n:
         raise ArithmeticError(f"a table ends before {n} (this is a bug)")
-    table, sig3, weights = tables
-    rev = table[n - 1 :: -1]
-    s3 = sum(map(operator.mul, sig3[1 : n + 1], rev))
-    s1 = sum(map(operator.mul, weights[1 : n + 1], rev))
-    return _exact_div(3 * (s3 - 2 * s1 + n * table[n]), 8, f"count_b({n})")
+    return sum(map(operator.mul, tables.t[1 : n + 1], tables.p[n - 1 :: -1]))
 
 
 def count_a(n: int) -> int:
@@ -128,47 +138,32 @@ def psi(a, n: int):
     if isinstance(a, int) and a < 0:
         raise ValueError(f"psi needs a >= 0 when a is an integer, got a = {a}")
     table = partition_table(n)
-    if isinstance(a, int):
-        return sum(map(operator.mul, _weights(a, n)[1:], table[n - 1 :: -1]))
     sig = sigma_table(n)
+    if isinstance(a, int):
+        return sum(map(operator.mul, _weights(a, sig)[1:], table[n - 1 :: -1]))
     exponent = float(a)
     return sum(k**exponent * sig[k] * table[n - k] for k in range(1, n + 1))
 
 
-def _psi_series(a: int, bound: int) -> list[int]:
-    """psi(a, n) for every n in 0..bound (a >= 0), read off one series product.
+def _psi_series(a: int, sig: list[int], table: list[int]) -> list[int]:
+    """psi(a, n) at every degree of sig = sigma_table(bound) and table = partition_table(bound).
 
-    Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of the product
-    with P is exactly the sum over 1 <= k <= n.
+    Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of their
+    series product with P is exactly the sum over 1 <= k <= n.
     """
-    return series_product(_weights(a, bound), partition_table(bound))
+    return series_product(_weights(a, sig), table)
 
 
-def _count_b_series(psi1: list[int]) -> list[int]:
-    """count_b(n) for every n in 0..len(psi1) - 1 (0 below n = 3), from series.
-
-    psi1 is _psi_series(1, bound).  One series product sigma_3 * P gives
-    the first sum of count_b at every degree, and
-    3 (S_3(n) - 2 psi_1(n) + n P(n)) / 8 is count_b's own formula.
-    """
-    bound = len(psi1) - 1
-    table = partition_table(bound)
-    s3 = series_product(sigma_table(bound, 3), table)
-    return [_exact_div(3 * (s3[n] - 2 * psi1[n] + n * table[n]), 8, f"count_b({n})")
-            for n in range(bound + 1)]
-
-
-def _psi_floats(exponent: float, bound: int) -> list[float]:
-    """psi(exponent, n) for every n in 1..bound (slot 0 is unused), as floats.
+def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float]:
+    """psi(exponent, n) as floats at every degree of sig and table (slot 0 is unused).
 
     The weights k^exponent sigma(k) are built once; every sum keeps psi's
     terms and their order, so each value equals psi(exponent, n) bit for bit.
     """
-    sig = sigma_table(bound)
-    table = partition_table(bound)
-    weights = [0.0, *(k**exponent * sig[k] for k in range(1, bound + 1))]
+    degrees = range(1, len(table))
+    weights = [0.0, *(k**exponent * sig[k] for k in degrees)]
     return [0.0, *(sum(map(operator.mul, weights[1 : n + 1], table[n - 1 :: -1]))
-                   for n in range(1, bound + 1))]
+                   for n in degrees)]
 
 
 class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
@@ -279,9 +274,11 @@ def bound_report(n_max: int, epsilon: float = 0.5) -> BoundReport:
         "generating_lower": [],
     }
     table = partition_table(n_max)
-    psis = {a_exp: _psi_series(a_exp, n_max) for a_exp in (0, 1, 2)}
-    psi_eps = _psi_floats(2 - epsilon, n_max)
-    counts_b = _count_b_series(psis[1])
+    sig = sigma_table(n_max)
+    psis = {a_exp: _psi_series(a_exp, sig, table) for a_exp in (0, 1, 2)}
+    psi_eps = _psi_floats(2 - epsilon, sig, table)
+    # t is non-negative, so count_b at every degree is one series product.
+    counts_b = series_product(_t_table(sig), table)
     for n in range(3, n_max + 1):
         p_n = table[n]
         b_n = counts_b[n]

@@ -10,22 +10,23 @@ def partition_table(bound: int) -> list[int]:
 
     P(n) = sum over the generalized pentagonal numbers g = j(3j -+ 1)/2 <= n
     of +-P(n - g), the sign + for odd j and - for even j.  The offsets up
-    to bound are listed once, split by sign into two ascending lists, so
-    each n is two short loops.
+    to bound are listed once, split by sign into two ascending lists; each
+    n takes in the offset equal to n, so its loops run over the offsets <= n.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     table = [1]
-    plus, minus = _pentagonal_offsets(bound)
+    plus, minus = (offsets + [bound + 1] for offsets in _pentagonal_offsets(bound))  # sentinels
+    active_plus, active_minus = [], []
     for n in range(1, bound + 1):
+        if plus[len(active_plus)] == n:
+            active_plus.append(n)
+        if minus[len(active_minus)] == n:
+            active_minus.append(n)
         total = 0
-        for g in plus:
-            if g > n:
-                break
+        for g in active_plus:
             total += table[n - g]
-        for g in minus:
-            if g > n:
-                break
+        for g in active_minus:
             total -= table[n - g]
         table.append(total)
     return table

@@ -1,6 +1,7 @@
 """Closed-form family counts, probability diagnostics and the bound sweep."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permcensus import census
-from permcensus.arith import jordan_totient, primes_up_to, sigma_k
+from permcensus.arith import jordan_totient, primes_up_to, series_product, sigma_k, sigma_table
 from permcensus.census import (
     bound_report,
     build_tables,
@@ -121,10 +122,11 @@ def test_psi_rejects_negative_integer_exponent():
 def test_psi_sweeps_of_bound_report_match_psi():
     """The whole-range psi values bound_report reads equal psi at every degree."""
     bound = 400
+    sig, table = sigma_table(bound), partition_table(bound)
     for a in (0, 1, 2):
-        assert census._psi_series(a, bound)[1:] == [psi(a, n) for n in range(1, bound + 1)]
+        assert census._psi_series(a, sig, table)[1:] == [psi(a, n) for n in range(1, bound + 1)]
     # bit for bit, so the epsilon failures cannot move
-    assert census._psi_floats(1.5, bound)[1:] == [psi(1.5, n) for n in range(1, bound + 1)]
+    assert census._psi_floats(1.5, sig, table)[1:] == [psi(1.5, n) for n in range(1, bound + 1)]
 
 
 def test_census_row_and_probabilities():
@@ -191,20 +193,47 @@ def test_bound_report():
         bound_report(2)
 
 
-def test_count_b_series_matches_count_b():
-    values = census._count_b_series(census._psi_series(1, 2000))
-    assert len(values) == 2001
-    assert values[:3] == [0, 0, 0]
-    tables = build_tables(2000)
-    assert all(values[n] == count_b(n) == count_b(n, tables) for n in range(3, 2001))
+def test_count_b_matches_the_three_sum_formula():
+    """count_b is the paper's 3 (sum sigma_3 P - 2 sum k sigma P + n P(n)) / 8 up to 2000."""
+    bound = 2000
+    sig3, table = sigma_table(bound, 3), partition_table(bound)
+    ksig = [k * s for k, s in enumerate(sigma_table(bound))]
+    tables = build_tables(bound)
+    series = series_product(tables.t, tables.p)
+    for n in range(3, bound + 1):
+        rev = table[n - 1 :: -1]
+        s3 = sum(map(operator.mul, sig3[1 : n + 1], rev))
+        s1 = sum(map(operator.mul, ksig[1 : n + 1], rev))
+        formula = Fraction(3 * (s3 - 2 * s1 + n * table[n]), 8)
+        assert formula == count_b(n, tables) == count_b(n) == series[n], n
 
 
 def test_build_tables_are_tuples_of_bound_plus_one_entries():
     tables = build_tables(300)
+    assert tables._fields == ("p", "t")
     assert all(type(table) is tuple and len(table) == 301 for table in tables)
     assert list(tables.p) == partition_table(300)
-    assert tables.sig3 == (0, *(sigma_k(k, 3) for k in range(1, 301)))
-    assert tables.ksig == (0, *(k * sigma_k(k, 1) for k in range(1, 301)))
+    assert tables.t == (0, *(Fraction(3 * (sigma_k(k, 3) - (2 * k - 1) * sigma_k(k, 1)), 8)
+                             for k in range(1, 301)))
+
+
+def test_t_is_a_non_negative_integer_table():
+    """Every t(k) up to 20000 is a non-negative int, so series_product takes t."""
+    t = build_tables(20000).t
+    assert t[:7] == (0, 0, 0, 3, 9, 27, 45)
+    assert all(type(value) is int and value >= 0 for value in t)
+
+
+def test_build_tables_refuses_a_t_entry_that_is_not_an_integer(monkeypatch):
+    def sigma_off_at_5(bound, k=1):
+        table = sigma_table(bound, k)
+        if k == 1:
+            table[5] += 1
+        return table
+
+    monkeypatch.setattr(census, "sigma_table", sigma_off_at_5)
+    with pytest.raises(ArithmeticError, match=r"t\(5\) is not an integer"):
+        build_tables(10)
 
 
 def test_count_b_refuses_tables_that_end_before_n():

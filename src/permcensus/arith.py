@@ -2,15 +2,16 @@
 
 Everything is exact: functions return plain integers where the value is
 an integer and fractions.Fraction otherwise.  Tabulated sequences
-(ArithSeq) hold ints, and Fractions only where a value is not an integer:
-convolutions of integer sequences stay integers, and so does the
-Dirichlet inverse of an integer sequence with f(1) = +-1.
+(ArithSeq) hold ints only: the Dirichlet convolution of two of them is
+again integral, and so is the Dirichlet inverse, which is defined here
+only for f(1) = +-1.
 """
 
 from __future__ import annotations
 
 import decimal
 import operator
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -138,54 +139,30 @@ def _smallest_prime_factors(limit: int) -> list[int]:
     return spf
 
 
-class ArithSeq:
-    """An arithmetic function eagerly tabulated on 1..bound, immutable.
+class ArithSeq(namedtuple("ArithSeq", "values")):
+    """An integer arithmetic function eagerly tabulated on 1..bound, immutable.
 
-    values[n] is f(n), an int or a Fraction (never a float); slot 0 is
-    unused padding so that indices match arguments.  Two sequences are
-    equal when their values are.
+    values[n] is the int f(n); slot 0 is unused padding so that indices
+    match arguments.
     """
 
-    __slots__ = ("values",)
-    values: tuple[int | Fraction, ...]
+    __slots__ = ()
 
-    def __init__(self, values: tuple[int | Fraction, ...]):
+    def __new__(cls, values: tuple[int, ...]) -> "ArithSeq":
         if len(values) < 2:
             raise ValueError("ArithSeq needs at least the value at n = 1")
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ArithSeq is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ArithSeq is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not ArithSeq:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"ArithSeq(values={self.values!r})"
+        return super().__new__(cls, values)
 
     @classmethod
-    def tabulate(cls, func: Callable[[int], int | Fraction], bound: int) -> "ArithSeq":
-        """Tabulate func on 1..bound; ints are kept, other values become Fractions."""
+    def tabulate(cls, func: Callable[[int], int], bound: int) -> "ArithSeq":
+        """Tabulate the integer-valued func on 1..bound."""
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
-        return cls((0, *map(_exact, map(func, range(1, bound + 1)))))
+        return cls((0, *map(func, range(1, bound + 1))))
 
     @property
     def bound(self) -> int:
         return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int | Fraction:
-        if not 1 <= n <= self.bound:
-            raise IndexError(f"n = {n} outside tabulated range 1..{self.bound}")
-        return self.values[n]
 
     def pointwise(self, other: "ArithSeq") -> "ArithSeq":
         """The pointwise product (f.g)(n) = f(n) g(n)."""
@@ -193,22 +170,15 @@ class ArithSeq:
         return ArithSeq((0, *map(operator.mul, self.values[1:], other.values[1:])))
 
 
-def _exact(value: int | Fraction | float) -> int | Fraction:
-    """An int as it is; anything else as the Fraction of its exact value."""
-    return value if isinstance(value, int) else Fraction(value)
-
-
 def _check_same_bound(f: ArithSeq, g: ArithSeq) -> None:
     if f.bound != g.bound:
         raise ValueError(f"bound mismatch: {f.bound} vs {g.bound}")
 
 
-def dirichlet_convolve(f: ArithSeq, g: ArithSeq, bound: int | None = None) -> ArithSeq:
+def dirichlet_convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
     """Dirichlet convolution (f*g)(n) = sum over d | n of f(d) g(n/d)."""
     _check_same_bound(f, g)
-    n_max = f.bound if bound is None else bound
-    if not 1 <= n_max <= f.bound:
-        raise ValueError(f"bound mismatch: requested {n_max}, tabulated {f.bound}")
+    n_max = f.bound
     out = [0] * (n_max + 1)
     fv, gv = f.values, g.values
     for d in range(1, n_max + 1):
@@ -220,44 +190,31 @@ def dirichlet_convolve(f: ArithSeq, g: ArithSeq, bound: int | None = None) -> Ar
     return ArithSeq(tuple(out))
 
 
-def dirichlet_inverse(f: ArithSeq, bound: int | None = None) -> ArithSeq:
-    """The inverse of f under Dirichlet convolution; requires f(1) != 0.
+def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
+    """The inverse of f under Dirichlet convolution; requires f(1) = +-1.
 
     Built by the recurrence g(1) = 1/f(1) and, for n > 1,
     g(n) = -(1/f(1)) * sum over proper divisors d of n of g(d) f(n/d).
     The sum reaching n is complete once every d < n is done, so each g(d)
-    is added to the sums of its multiples as soon as it is known.  When
-    f(1) = +-1, 1/f(1) = f(1) and an integer f has an integer inverse;
-    otherwise 1/f(1) is a Fraction.
+    is added to the sums of its multiples as soon as it is known.  With
+    f(1) = +-1, 1/f(1) = f(1), so the inverse is an integer sequence; any
+    other f(1) raises ValueError.
     """
     lead = f.values[1]
-    if lead == 0:
-        raise ValueError("not invertible: f(1) = 0")
-    n_max = f.bound if bound is None else bound
-    if not 1 <= n_max <= f.bound:
-        raise ValueError(f"bound mismatch: requested {n_max}, tabulated {f.bound}")
-    inv_lead = lead if lead in (1, -1) else 1 / Fraction(lead)
+    if lead not in (1, -1):
+        raise ValueError(f"not invertible over the integers: f(1) = {lead}")
+    n_max = f.bound
     fv = f.values
     acc = [0] * (n_max + 1)
     inv = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
-        gd = inv_lead if d == 1 else -acc[d] * inv_lead
+        gd = lead if d == 1 else -acc[d] * lead
         inv[d] = gd
         if not gd:
             continue
         for q, m in enumerate(range(2 * d, n_max + 1, d), 2):
             acc[m] += gd * fv[q]
     return ArithSeq(tuple(inv))
-
-
-def discrete_convolve(f: ArithSeq, g: ArithSeq, n: int) -> int | Fraction:
-    """The additive convolution sum over 0 < k < n of f(k) g(n-k); zero at n = 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > 1 and (f.bound < n - 1 or g.bound < n - 1):
-        raise ValueError(f"operands must be tabulated on 1..{n - 1}")
-    fv, gv = f.values, g.values
-    return sum(fv[k] * gv[n - k] for k in range(1, n))
 
 
 def series_product(f: Sequence[int], g: Sequence[int]) -> list[int]:

@@ -218,6 +218,8 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
     around 24/pi^2); kind "pa" is P(n)*a/(n*b), the generating
     probability rescaled by its decay rate.
     """
+    if kind not in ("p1", "p2", "pa"):
+        raise ValueError(f"unknown diagnostic {kind!r}; expected p1, p2 or pa")
     degrees = list(degrees)
     tables = build_tables(max(degrees, default=0)) if kind == "pa" else None
     out = []
@@ -227,10 +229,8 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
             exact = Fraction(count_a1(n), count_b1(n))
         elif kind == "p2":
             exact = Fraction(n * count_a2(n), count_b2(n))
-        elif kind == "pa":
-            exact = Fraction(tables.p[n] * count_a(n), n * count_b(n, tables))
         else:
-            raise ValueError(f"unknown diagnostic {kind!r}; expected p1, p2 or pa")
+            exact = Fraction(tables.p[n] * count_a(n), n * count_b(n, tables))
         out.append(DiagnosticPoint(n, exact))
     return out
 
@@ -251,14 +251,18 @@ class BoundReport(namedtuple("BoundReport", "n_max epsilon strict_failures epsil
         return not any(self.strict_failures.values())
 
 
-def bound_report(n_max: int, epsilon: float = 0.5) -> BoundReport:
+# The epsilon at which bound_report samples the for-large-n lower bounds.
+EPSILON = 0.5
+
+
+def bound_report(n_max: int) -> BoundReport:
     """Check the psi sandwich and the count bounds for every 3 <= n <= n_max.
 
     Asserted (strict) inequalities:
       (8/3) count_b(n) < psi_2(n);  count_a(n) < (3/8) n^3;
       n P(n) <= psi_a(n) <= n^(a+1) P(n) for a in {0, 1, 2}.
-    Reported only: psi_(2-eps)(n) < count_b(n) and n^(3-eps) < count_a(n),
-    which hold for large n.
+    Reported only: psi_(2-eps)(n) < count_b(n) and n^(3-eps) < count_a(n)
+    at eps = EPSILON, which hold for large n.
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
@@ -276,7 +280,7 @@ def bound_report(n_max: int, epsilon: float = 0.5) -> BoundReport:
     table = partition_table(n_max)
     sig = sigma_table(n_max)
     psis = {a_exp: _psi_series(a_exp, sig, table) for a_exp in (0, 1, 2)}
-    psi_eps = _psi_floats(2 - epsilon, sig, table)
+    psi_eps = _psi_floats(2 - EPSILON, sig, table)
     # t is non-negative, so count_b at every degree is one series product.
     counts_b = series_product(_t_table(sig), table)
     for n in range(3, n_max + 1):
@@ -292,22 +296,22 @@ def bound_report(n_max: int, epsilon: float = 0.5) -> BoundReport:
                 strict[f"sandwich_a{a_exp}"].append(n)
         if not psi_eps[n] < b_n:
             eps_fail["commutator_lower"].append(n)
-        if not n ** (3 - epsilon) < a_n:
+        if not n ** (3 - EPSILON) < a_n:
             eps_fail["generating_lower"].append(n)
-    return BoundReport(n_max, epsilon, strict, eps_fail)
+    return BoundReport(n_max, EPSILON, strict, eps_fail)
 
 
-def significant_digits(value, digits: int = 6) -> str:
-    """Render an exact ratio with exactly `digits` significant digits.
+def significant_digits(value) -> str:
+    """Render an exact ratio with exactly six significant digits.
 
     Rounding is half-even.  Values below 1 keep as many decimal places
-    as needed; values at or above 10^digits are printed as rounded
-    integers (still carrying only `digits` significant digits).
+    as needed; values at or above 10^6 are printed as rounded integers
+    (still carrying only six significant digits).
     """
     frac = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 6
         ctx.rounding = ROUND_HALF_EVEN
         dec = Decimal(frac.numerator) / Decimal(frac.denominator)
-    places = max(0, digits - 1 - dec.adjusted())
+    places = max(0, 5 - dec.adjusted())
     return f"{dec:.{places}f}"

@@ -1,4 +1,4 @@
-"""Permutation groups given by generators: orbits, blocks, primitivity, order.
+"""Permutation groups given by generators: orbits, primitivity, order, classification.
 
 A group is the tuple of its generators, and each generator is an image
 tuple as in perm: entry x - 1 is the image of the point x, points are
@@ -61,50 +61,20 @@ def is_transitive(group: Group) -> bool:
     return len(orbit(group, 1)) == len(group[0])
 
 
-def minimal_block(group: Group, x: int, y: int) -> frozenset[int]:
-    """The smallest block of imprimitivity containing {x, y} (group transitive).
-
-    Union-find closure: repeatedly merge the classes of g(u), g(v) for
-    every generator g whenever the classes of u and v merge.  The class
-    of x in the resulting congruence is the minimal block.
-    """
-    n = len(group[0])
-    if x == y or not (1 <= x <= n and 1 <= y <= n):
-        raise ValueError("x and y must be distinct points of 1..n")
-    if not is_transitive(group):
-        raise ValueError("minimal_block requires a transitive group")
-    return _minimal_block(group, x, y)
-
-
-def _minimal_block(group: Group, x: int, y: int) -> frozenset[int]:
-    """minimal_block without the argument and transitivity checks."""
-    n = len(group[0])
-    parent = list(range(n + 1))
-    _merge_closure(group, parent, x, y)
-    root = _find(parent, x)
-    return frozenset(p for p in range(1, n + 1) if _find(parent, p) == root)
-
-
-def _find(parent: list[int], a: int) -> int:
-    """The root of a's class, halving the path on the way."""
-    while parent[a] != a:
-        parent[a] = a = parent[parent[a]]
-    return a
-
-
 def _merge_closure(images: Group, parent: list[int], x: int, y: int) -> int:
     """Merge the classes of x and y, then close the union-find under the generators.
 
     Whenever the classes of u and v merge, the classes of g(u) and g(v) are
     merged too, for every generator image g.  Returns the number of merges;
     it stops as soon as len(parent) - 2 merges have made one class of 1..n.
+    The class of x is then the smallest block containing x and y.
     """
     full = len(parent) - 2
     merges = 0
     queue = [(x, y)]
     while queue:
         u, v = queue.pop()
-        while parent[u] != u:  # _find inlined: this loop is the hot path of verify
+        while parent[u] != u:  # find with path halving; the hot loop of verify
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]

@@ -31,10 +31,6 @@ class Permutation(tuple):
         return self
 
     @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
     def degree(self) -> int:
         return len(self)
 
@@ -42,9 +38,6 @@ class Permutation(tuple):
         if not 1 <= x <= len(self):
             raise ValueError(f"point {x} outside 1..{len(self)}")
         return self[x - 1]
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self, start=1))
 
     def __str__(self) -> str:
         return cycles_string(self)
@@ -112,13 +105,12 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return from_cycles(cycles, degree)
 
 
-def cycles_string(s: Sequence[int], include_fixed: bool = False) -> str:
-    """Canonical cycle notation; "()" for the identity."""
+def cycles_string(s: Sequence[int]) -> str:
+    """Canonical cycle notation without fixed points; "()" for the identity."""
     parts = []
     for cycle in cycle_structure(s).cycles:
-        if len(cycle) == 1 and not include_fixed:
-            continue
-        parts.append("(" + " ".join(str(p) for p in cycle) + ")")
+        if len(cycle) > 1:
+            parts.append("(" + " ".join(str(p) for p in cycle) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -131,12 +123,6 @@ class CycleStructure(namedtuple("CycleStructure", "cycles")):
     def flag(self) -> tuple[int, ...]:
         """Cycle lengths as a nondecreasing tuple (a partition of the degree)."""
         return tuple(sorted(len(c) for c in self.cycles))
-
-    @property
-    def type(self) -> dict[int, int]:
-        """Map cycle length -> multiplicity."""
-        counts = Counter(len(c) for c in self.cycles)
-        return dict(sorted(counts.items()))
 
 
 def cycle_structure(s: Sequence[int]) -> CycleStructure:
@@ -194,7 +180,7 @@ def s_distance(s: Sequence[int], x: int, y: int) -> int | float:
     return d if cur == y else math.inf
 
 
-def conjugacy_class_size(flag: Iterable[int], degree: int | None = None) -> int:
+def conjugacy_class_size(flag: Iterable[int]) -> int:
     """The number of permutations in S_n with the given multiset of cycle lengths.
 
     Equals n! / prod over lengths l of (l^m_l * m_l!) where m_l is the
@@ -204,8 +190,6 @@ def conjugacy_class_size(flag: Iterable[int], degree: int | None = None) -> int:
     if not lengths or any(l < 1 for l in lengths):
         raise ValueError("cycle lengths must be positive integers")
     n = sum(lengths)
-    if degree is not None and degree != n:
-        raise ValueError(f"cycle lengths sum to {n}, not the stated degree {degree}")
     denom = 1
     for length, mult in Counter(lengths).items():
         denom *= length**mult * factorial(mult)

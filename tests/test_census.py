@@ -172,8 +172,12 @@ def test_limit_diagnostics_pa():
     points = limit_diagnostics("pa", [50, 100, 150, 200, 255])
     for pt in points:
         assert 0 < float(pt.exact) < 1
-    with pytest.raises(ValueError):
-        limit_diagnostics("p3", [5])
+
+
+@pytest.mark.parametrize("degrees", [[], [2], [5]])
+def test_limit_diagnostics_rejects_an_unknown_kind_before_any_degree(degrees):
+    with pytest.raises(ValueError, match="unknown diagnostic"):
+        limit_diagnostics("p3", degrees)
 
 
 def test_raw_generating_ratio_decreases_on_grid():
@@ -183,7 +187,7 @@ def test_raw_generating_ratio_decreases_on_grid():
 
 def test_bound_report():
     report = bound_report(400)
-    assert report.n_max == 400
+    assert report.n_max == 400 and report.epsilon == 0.5
     assert report.all_strict_hold()
     assert all(not fails for fails in report.strict_failures.values())
     # the for-large-n lower bounds at epsilon = 1/2 settle early and stay settled
@@ -247,8 +251,8 @@ def test_significant_digits():
     assert significant_digits(Fraction(9, 10)) == "0.900000"
     assert significant_digits(Fraction(1, 3)) == "0.333333"
     assert significant_digits(Fraction(2, 3)) == "0.666667"
-    assert significant_digits(Fraction(19, 31), digits=3) == "0.613"
+    assert significant_digits(Fraction(19, 31)) == "0.612903"
     assert significant_digits(Fraction(1234567)) == "1234570"
     assert significant_digits(Fraction(2000001, 2)) == "1000000"
     assert significant_digits(Fraction(2000003, 2)) == "1000000"
-    assert significant_digits(Fraction(1, 1024), digits=4) == "0.0009766"
+    assert significant_digits(Fraction(1, 1024)) == "0.000976562"  # ...5625: half-even

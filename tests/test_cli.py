@@ -365,7 +365,12 @@ print(json.dumps({"codes": codes, "sizes": len(before),
 
 
 def test_no_module_state_grows_during_a_run():
-    """Tables are built per run; no module-level list, dict or set keeps them."""
+    """Tables are built per run; no module-level list, dict or set keeps them.
+
+    The probe measures only plain lists, dicts and sets bound at module level.
+    It does not see functools caches: the lru_cache memos of arith.factorize
+    and characters._strip_recursion grow during a run and are not reported.
+    """
     result = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)

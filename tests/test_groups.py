@@ -11,6 +11,7 @@ from permcensus.groups import (
     ALT,
     NEITHER,
     SYM,
+    _merge_closure,
     element_closure,
     generated,
     generates_alt_or_sym,
@@ -18,7 +19,6 @@ from permcensus.groups import (
     is_primitive,
     is_transitive,
     jordan_route,
-    minimal_block,
     orbit,
     order_route,
 )
@@ -82,20 +82,22 @@ def test_generated_group_validation():
         generated()
 
 
-def test_minimal_block_examples():
-    assert minimal_block(K4, 1, 2) == frozenset({1, 2})
-    for x, y in itertools.combinations(range(1, 6), 2):
-        assert minimal_block(C5, x, y) == frozenset(range(1, 6))
-    assert minimal_block(C4, 1, 3) == frozenset({1, 3})
+def closure_class(group, x, y):
+    """The class of x after _merge_closure has merged x and y in a fresh union-find."""
+    parent = list(range(len(group[0]) + 1))
+    _merge_closure(group, parent, x, y)
 
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
 
-def test_minimal_block_requires_transitive():
-    with pytest.raises(ValueError):
-        minimal_block(SPLIT, 1, 3)
+    return frozenset(p for p in range(1, len(parent)) if root(p) == root(x))
 
 
 @pytest.mark.parametrize("group", SMALL_GROUPS)
 def test_minimal_block_against_subset_enumeration(group):
+    """The closure from (x, y) is the smallest block containing x and y."""
     blocks = enumerate_blocks(group)
     n = len(group[0])
     for x in range(1, n + 1):
@@ -105,7 +107,7 @@ def test_minimal_block_against_subset_enumeration(group):
             containing = [b for b in blocks if x in b and y in b]
             smallest = min(containing, key=len)
             assert all(smallest <= other for other in containing)
-            assert minimal_block(group, x, y) == smallest
+            assert closure_class(group, x, y) == smallest
 
 
 @pytest.mark.parametrize("group", SMALL_GROUPS)

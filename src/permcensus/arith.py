@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import operator
+import struct
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -221,10 +222,14 @@ def series_product(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Coefficients 0..len(f)-1 of the product of two power series, exactly.
 
     f and g hold the coefficients of equal-length series with non-negative
-    integer entries.  Both are packed into one decimal integer each, one
-    zero-padded slot of `width` digits per coefficient, and multiplied once;
-    libmpdec multiplies operands of this size by a number-theoretic
-    transform.  Coefficient k of the product is digit slot k of the result.
+    integer entries.  Each is packed by one %-format call into one decimal
+    integer, one zero-padded slot of `width` digits per coefficient with
+    coefficient 0 in the top slot, and the two are multiplied once (once
+    packed when g is f); libmpdec multiplies operands of this size by a
+    number-theoretic transform.  Of the 2 len(f) - 1 slots of the result,
+    coefficient k of the product lies in slot k from the top, so its first
+    len(f) slots are the wanted coefficients in order, and one
+    struct.unpack_from splits them.
     """
     if len(f) != len(g):
         raise ValueError(f"series lengths differ: {len(f)} vs {len(g)}")
@@ -235,16 +240,15 @@ def series_product(f: Sequence[int], g: Sequence[int]) -> list[int]:
     # Every product coefficient is a sum of at most len(f) terms f[i] g[k-i],
     # so it is at most max(f) max(g) len(f) < 10^width: it fits in its slot
     # and never carries into the next one.
-    width = len(str(max(f) * max(g) * len(f)))
+    length = len(f)
+    width = len(str(max(f) * max(g) * length))
+    slots = f"%0{width}d" * length
+    packed_f = decimal.Decimal(slots % tuple(f))
+    packed_g = packed_f if g is f else decimal.Decimal(slots % tuple(g))
     context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                               traps=[decimal.Inexact, decimal.Rounded])
-    product = context.multiply(_pack(f, width), _pack(g, width))
-    digits = str(product).rjust(len(f) * width, "0")[-len(f) * width:]
-    return [int(digits[i:i + width]) for i in range((len(f) - 1) * width, -1, -width)]
-
-
-def _pack(coefficients: Sequence[int], width: int) -> decimal.Decimal:
-    return decimal.Decimal("".join(f"{c:0{width}d}" for c in reversed(coefficients)))
+    digits = str(context.multiply(packed_f, packed_g)).rjust((2 * length - 1) * width, "0")
+    return list(map(int, struct.unpack_from(f"{width}s" * length, digits.encode())))
 
 
 def ramanujan_rhs(n: int, order: str) -> int:

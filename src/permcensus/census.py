@@ -157,12 +157,15 @@ def _psi_series(a: int, sig: list[int], table: list[int]) -> list[int]:
 def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float]:
     """psi(exponent, n) as floats at every degree of sig and table (slot 0 is unused).
 
-    The weights k^exponent sigma(k) are built once; every sum keeps psi's
-    terms and their order, so each value equals psi(exponent, n) bit for bit.
+    The weights k^exponent sigma(k) and the floats of P are built once;
+    float * int rounds the int exactly as float() does, and every sum keeps
+    psi's terms and their order, so each value equals psi(exponent, n) bit
+    for bit.
     """
     degrees = range(1, len(table))
     weights = [0.0, *(k**exponent * sig[k] for k in degrees)]
-    return [0.0, *(sum(map(operator.mul, weights[1 : n + 1], table[n - 1 :: -1]))
+    p_floats = list(map(float, table))
+    return [0.0, *(sum(map(operator.mul, weights[1 : n + 1], p_floats[n - 1 :: -1]))
                    for n in degrees)]
 
 

@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-n", dest="max_n", type=int, default=5,
                      help="largest degree for brute-force suites (3..8, default 5)")
     ver.add_argument("--allow-n8", action="store_true",
-                     help="permit the degree-8 enumeration (about 0.2 s more "
-                          "than --max-n 7)")
+                     help="permit the degree-8 enumeration (it roughly doubles "
+                          "the time of --max-n 7)")
     ver.add_argument("--json", action="store_true",
                      help="also print a machine-readable JSON summary")
     ver.set_defaults(func=_cmd_verify)

@@ -12,7 +12,10 @@ over all of S_n as a byte string, one byte per t holding a 0-based image,
 and counts the points each commutator moves in one byte per t with
 big-integer XOR, shift and add.  That needs every image and every XOR of
 two images to fit in 3 bits: the values are 0-based (0..n-1) and the
-degree is at most 8.
+degree is at most 8.  It then decides generation once per double coset
+<s> t <s> of pairs with a 3-cycle commutator, not once per pair: for
+every t' = s^j t s^k, [s, t'] = s^j [s, t] s^-j is again a 3-cycle and
+<s, t'> = <s, t>.
 """
 
 from __future__ import annotations
@@ -119,9 +122,8 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
 
     The outer loop visits one representative s per cycle type, weighted by
     its class size; for each s the commutators with every t of S_n are
-    tested at once, column by column.  Generation is decided once per pair
-    whose commutator is a 3-cycle.  The subfamilies are picked out by the
-    same cycle-type filters as brute_count.
+    tested at once, column by column.  The subfamilies are picked out by
+    the same cycle-type filters as brute_count.
 
     [s, t] = s t s^-1 t^-1 moves the point t(y) exactly when
     t(s^-1(y)) != s^-1(t(y)), so the number of points it moves is the
@@ -136,10 +138,17 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     keeps n <= 8, so every value and every XOR fits in 3 bits (the fold
     needs exactly the shifts by 1 and 2) and no byte count exceeds 8 (no
     carry into the next byte).
+
+    Generation is decided once per double coset <s> t <s> of hits (pairs
+    whose commutator is a 3-cycle): [s, s^j t s^k] = s^j [s, t] s^-j and
+    <s, s^j t s^k> = <s, t>, so one call labels the whole coset.  Every
+    member of a coset must itself be a hit; one that is not raises
+    RuntimeError, since that would be a bug in the scan or in the coset.
     """
     _check_degree(n, allow_n8)
-    images = list(all_images(range(1, n + 1)))
-    columns = [bytes(column) for column in zip(*all_images(range(n)))]
+    images = [bytes(image) for image in all_images(range(n))]
+    index = {image: i for i, image in enumerate(images)}
+    columns = [bytes(column) for column in zip(*images)]
     column_ints = [int.from_bytes(column, "big") for column in columns]
     low_bits = int.from_bytes(b"\x01" * len(images), "big")
     totals = dict.fromkeys(FAMILIES, 0)
@@ -153,18 +162,48 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
             diff = column_ints[s_inv[y]] ^ int.from_bytes(column.translate(through_s_inv), "big")
             moved += (diff | diff >> 1 | diff >> 2) & low_bits
         moved_per_t = moved.to_bytes(len(images), "big")
-        hits = generating = 0
+        s_bytes = bytes(x - 1 for x in s_img)
+        labelled = bytearray(len(images))
+        generating = 0
         i = moved_per_t.find(3)
         while i >= 0:
-            hits += 1
-            if groups.generates_alt_or_sym(s_img, images[i]) != groups.NEITHER:
-                generating += 1
+            if not labelled[i]:
+                coset = _double_coset(images[i], s_bytes, index)
+                for j in coset:
+                    if moved_per_t[j] != 3:
+                        raise RuntimeError(
+                            f"double coset of a 3-cycle hit holds a non-hit at degree {n}, "
+                            f"s = {s_img} (this is a bug)")
+                    labelled[j] = 1
+                t_img = tuple(x + 1 for x in images[i])
+                if groups.generates_alt_or_sym(s_img, t_img) != groups.NEITHER:
+                    generating += len(coset)
             i = moved_per_t.find(3, i + 1)
+        hits = moved_per_t.count(3)
         size = conjugacy_class_size(flag)
         for family in FAMILIES:
             if _s_filter(family, flag):
                 totals[family] += size * (generating if family in _GENERATING else hits)
     return totals
+
+
+def _double_coset(t: bytes, s: bytes, index: dict[bytes, int]) -> list[int]:
+    """The indices in index of the double coset <s> t <s>, as 0-based image bytes.
+
+    {t} is closed under t -> t s and t -> s t, each one bytes.translate:
+    (t s)(x) = t(s(x)) translates s through t, and (s t)(x) = s(t(x))
+    translates t through s.
+    """
+    through_s = s.ljust(256, b"\0")
+    seen = {t}
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        for v in (s.translate(u.ljust(256, b"\0")), u.translate(through_s)):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return [index[u] for u in seen]
 
 
 def brute_triple_counts(n: int, kind: str, d: int | None = None) -> int:

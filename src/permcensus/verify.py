@@ -218,6 +218,11 @@ def _suite_bounds(max_n: int, allow_n8: bool) -> list[str]:
     report = census.bound_report(500)
     for name, bad in report.strict_failures.items():
         _check(failures, f"bound {name} (n <= 500)", not bad)
+    # The for-large-n bounds are only sampled; say on stderr where they take hold.
+    last = ", ".join(f"{name} {bad[-1] if bad else 'none'}"
+                     for name, bad in report.epsilon_failures.items())
+    print(f"bounds: last degree n <= 500 failing each for-large-n bound at "
+          f"eps = {report.epsilon}: {last}", file=sys.stderr)
     sig1 = arith.sigma_table(2000)
     sig3 = arith.sigma_table(2000, 3)
     ok_upper = all(sig3[n] < n * n * sig1[n] for n in range(2, 2001))
@@ -267,7 +272,8 @@ def cmd_verify(args) -> int:
     """Run the chosen suites; the command line has already checked the arguments.
 
     stdout gets one status line per suite (and the --json summary);
-    stderr gets a line before each suite and its wall time after it.
+    stderr gets a line before each suite and its wall time after it, and
+    the bounds suite adds where its for-large-n bounds last fail.
     """
     results = {}
     for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order

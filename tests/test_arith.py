@@ -301,6 +301,28 @@ def test_series_product_matches_double_loop(pair):
     assert series_product(f, g) == naive_product(f, g)
 
 
+@given(st.lists(COEFFICIENTS, min_size=1, max_size=40))
+@example([9] * 3)  # the top coefficient, 243, fills its slot
+@example([10**100 - 1] * 4)
+def test_series_product_of_one_series_with_itself(f):
+    assert series_product(f, f) == naive_product(f, f)
+
+
+def test_series_product_takes_tuples():
+    # Tables passes its columns as tuples, and the operands may be the same tuple.
+    f, g = (3, 1, 4, 1, 5), (2, 7, 1, 8, 2)
+    assert series_product(f, g) == naive_product(f, g)
+    assert series_product(f, f) == naive_product(f, f)
+
+
+def test_series_product_slot_wider_than_100_digits():
+    f = [10**60 + 7, 0, 10**61 - 1, 5]
+    g = [10**59, 3, 10**60 + 1, 10**61]
+    assert len(str(max(f) * max(g) * len(f))) > 100  # the slot width
+    assert series_product(f, g) == naive_product(f, g)
+    assert series_product(tuple(f), tuple(f)) == naive_product(f, f)
+
+
 def test_series_product_validation():
     assert series_product([], []) == []
     with pytest.raises(ValueError):

@@ -189,6 +189,15 @@ def test_verify_reports_each_suite_time_on_stderr(capsys):
         assert float(seconds) >= 0 and unit == "s"
 
 
+def test_verify_bounds_reports_where_the_large_n_bounds_take_hold(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suites", "bounds", "--json")
+    assert code == 0
+    assert out.splitlines() == ["suite bounds: ok", '{"bounds":{"passed":true,"failures":[]}}']
+    [line] = [line for line in err.splitlines() if line.startswith("bounds: ")]
+    assert line == ("bounds: last degree n <= 500 failing each for-large-n bound at "
+                    "eps = 0.5: commutator_lower 87, generating_lower 18")
+
+
 def test_verify_argument_validation(capsys):
     code, _, err = run_cli(capsys, "verify", "--suites", "nope")
     assert code == 2

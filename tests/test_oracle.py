@@ -1,17 +1,23 @@
 """Brute-force enumeration cross-checked against the closed-form counts."""
 
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+from permcensus import groups
 from permcensus.census import census_row
 from permcensus.oracle import (
     FAMILIES,
+    _commutator_moves_three,
+    _rep_from_flag,
     brute_count,
     brute_counts,
     brute_triple_counts,
     brute_twist_count,
 )
+from permcensus.partitions import enumerate_partitions
+from permcensus.perm import inverse
 
 
 def formula_value(n, family):
@@ -48,6 +54,49 @@ def test_class_collapse_agrees_at_six(family):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_single_pass_matches_per_family_counts(n):
     assert brute_counts(n) == {family: brute_count(n, family) for family in FAMILIES}
+
+
+def compose(p, q):
+    """The image tuple of p after q: x -> p(q(x))."""
+    return tuple(p[x - 1] for x in q)
+
+
+def double_cosets_of_hits(n):
+    """The number of double cosets <s> t <s> of 3-cycle hits, over every class representative s.
+
+    Built from plain tuple compositions and the per-pair commutator test,
+    independently of the byte columns of brute_counts.
+    """
+    total = 0
+    for flag in enumerate_partitions(n):
+        s = _rep_from_flag(tuple(flag), n)
+        s_inv = inverse(s)
+        powers = [tuple(range(1, n + 1))]
+        while compose(s, powers[-1]) != powers[0]:
+            powers.append(compose(s, powers[-1]))
+        labelled = set()
+        for t in permutations(range(1, n + 1)):
+            if t in labelled or not _commutator_moves_three(s, s_inv, t, inverse(t)):
+                continue
+            total += 1
+            labelled.update(compose(compose(a, t), b) for a in powers for b in powers)
+    return total
+
+
+@pytest.mark.parametrize("n, cosets", [(3, 2), (4, 7), (5, 38), (6, 179), (7, 1034)])
+def test_single_pass_decides_generation_once_per_double_coset(n, cosets, monkeypatch):
+    calls = 0
+    real = groups.generates_alt_or_sym
+
+    def counted(s, t):
+        nonlocal calls
+        calls += 1
+        return real(s, t)
+
+    monkeypatch.setattr(groups, "generates_alt_or_sym", counted)
+    assert brute_counts(n) == {family: formula_value(n, family) * factorial(n)
+                               for family in FAMILIES}
+    assert calls == double_cosets_of_hits(n) == cosets
 
 
 def test_single_pass_matches_formulas_at_eight():

@@ -17,7 +17,7 @@ from permcensus.oracle import (
     brute_twist_count,
 )
 from permcensus.partitions import enumerate_partitions
-from permcensus.perm import inverse
+from permcensus.perm import compose, inverse
 
 
 def formula_value(n, family):
@@ -54,11 +54,6 @@ def test_class_collapse_agrees_at_six(family):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_single_pass_matches_per_family_counts(n):
     assert brute_counts(n) == {family: brute_count(n, family) for family in FAMILIES}
-
-
-def compose(p, q):
-    """The image tuple of p after q: x -> p(q(x))."""
-    return tuple(p[x - 1] for x in q)
 
 
 def double_cosets_of_hits(n):

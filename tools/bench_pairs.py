@@ -1,7 +1,6 @@
 """Build a BENCH_*.json from paired runs of perfbench/run.py on two checkouts.
 
-    python3 tools/bench_pairs.py --out BENCH_13.json --claim verify-deep:wall_s \
-        --note "what the change does" LOGDIR/*.jsonl
+    python3 tools/bench_pairs.py --out BENCH_<label>.json --claim verify-deep:wall_s LOGDIR/*.jsonl
 
 Each log is the stdout of one ``perfbench/run.py --trace 0`` run, saved as
 ``<workload>.<seed>.<side>.jsonl`` with side ``parent`` or ``change``.  A
@@ -18,10 +17,11 @@ after the other, alternating which side goes first, for example:
 The script reads each log's first line (the host record, with the checkout's
 revision) and last line (the metrics, each a median over the run's rounds).
 It writes, per workload and metric, the value of each pair, each side's median
-and quartiles, and the number of pairs the change reads lower.  For the
-claimed workload and metric it records whether the gain holds: the change
-lower in at least nine tenths of the pairs, and the medians apart by more than
-the distance between the parent's quartiles.
+and quartiles, the ratio of the medians (change over parent) and the number of
+pairs the change reads lower.  For the claimed workload and metric it records
+whether the gain holds: the change lower in at least nine tenths of the pairs,
+and the medians apart by more than the distance between the parent's
+quartiles.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
-def build(paths: list[Path], claim: tuple[str, str], note: str) -> dict:
+def build(paths: list[Path], claim: tuple[str, str]) -> dict:
     runs: dict[str, dict[int, dict[str, tuple[dict, dict, float]]]] = {}
     for path in paths:
         workload, seed, side = path.name.removesuffix(".jsonl").rsplit(".", 2)
@@ -80,13 +80,14 @@ def build(paths: list[Path], claim: tuple[str, str], note: str) -> dict:
             metrics[name]["change_lower_in"] = sum(p["change"][name] < p["parent"][name]
                                                    for p in pairs)
             metrics[name]["pairs"] = len(pairs)
+            metrics[name]["change_over_parent"] = (metrics[name]["change"]["median"]
+                                                   / metrics[name]["parent"]["median"])
         workloads[workload] = {"seeds": sorted(by_seed), "pairs": pairs, "metrics": metrics}
     workload, name = claim
     got = workloads[workload]["metrics"][name]
     gap = got["parent"]["median"] - got["change"]["median"]
     parent_iqr = got["parent"]["q3"] - got["parent"]["q1"]
     return {
-        "note": note,
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 40",
         "host": [json.loads(h) for h in sorted(hosts)],
         "revisions": revisions,
@@ -102,10 +103,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
-    parser.add_argument("--note", default="")
     parser.add_argument("logs", nargs="+", type=Path)
     args = parser.parse_args(argv)
-    report = build(args.logs, tuple(args.claim.split(":", 1)), args.note)
+    report = build(args.logs, tuple(args.claim.split(":", 1)))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     claim = report["claim"]
     print(f"{claim['workload']} {claim['metric']}: change lower in {claim['change_lower_in']} "

@@ -127,6 +127,24 @@ def sigma_table(bound: int, k: int = 1) -> list[int]:
     return table
 
 
+def totient_table(bound: int) -> list[int]:
+    """Euler's totient phi(i) for i in 0..bound as a new list (slot 0 holds 0).
+
+    With p the smallest prime factor of n, phi(n) = p phi(n / p) when p
+    divides n / p, and (p - 1) phi(n / p) otherwise; a
+    smallest-prime-factor sieve gives p.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    spf = _smallest_prime_factors(bound)
+    table = [0, 1][: bound + 1]
+    for n in range(2, bound + 1):
+        p = spf[n]
+        rest = n // p
+        table.append(table[rest] * (p if spf[rest] == p else p - 1))
+    return table
+
+
 def _smallest_prime_factors(limit: int) -> list[int]:
     """spf[n] = the smallest prime dividing n, for 2 <= n <= limit (spf[1] = 1).
 

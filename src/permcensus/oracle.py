@@ -15,7 +15,8 @@ two images to fit in 3 bits: the values are 0-based (0..n-1) and the
 degree is at most 8.  It then decides generation once per double coset
 <s> t <s> of pairs with a 3-cycle commutator, not once per pair: for
 every t' = s^j t s^k, [s, t'] = s^j [s, t] s^-j is again a 3-cycle and
-<s, t'> = <s, t>.
+<s, t'> = <s, t>.  The powers of s are listed once per class
+representative, and each coset is two set comprehensions over them.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
 
     Generation is decided once per double coset <s> t <s> of hits (pairs
     whose commutator is a 3-cycle): [s, s^j t s^k] = s^j [s, t] s^-j and
-    <s, s^j t s^k> = <s, t>, so one call labels the whole coset.  Every
-    member of a coset must itself be a hit; one that is not raises
-    RuntimeError, since that would be a bug in the scan or in the coset.
+    <s, s^j t s^k> = <s, t>, so one call labels the whole coset, which
+    _double_coset builds from the powers of s.  Every member of a coset
+    must itself be a hit; one that is not raises RuntimeError, since that
+    would be a bug in the scan or in the coset.
     """
     _check_degree(n, allow_n8)
     images = [bytes(image) for image in all_images(range(n))]
@@ -151,6 +153,7 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     columns = [bytes(column) for column in zip(*images)]
     column_ints = [int.from_bytes(column, "big") for column in columns]
     low_bits = int.from_bytes(b"\x01" * len(images), "big")
+    one_based = bytes(range(1, 256)).ljust(256, b"\0")
     totals = dict.fromkeys(FAMILIES, 0)
     for flag_list in enumerate_partitions(n):
         flag = tuple(flag_list)
@@ -162,20 +165,21 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
             diff = column_ints[s_inv[y]] ^ int.from_bytes(column.translate(through_s_inv), "big")
             moved += (diff | diff >> 1 | diff >> 2) & low_bits
         moved_per_t = moved.to_bytes(len(images), "big")
-        s_bytes = bytes(x - 1 for x in s_img)
+        powers, tables = _powers(bytes(x - 1 for x in s_img))
         labelled = bytearray(len(images))
         generating = 0
         i = moved_per_t.find(3)
         while i >= 0:
             if not labelled[i]:
-                coset = _double_coset(images[i], s_bytes, index)
-                for j in coset:
+                coset = _double_coset(images[i], powers, tables)
+                for u in coset:
+                    j = index[u]
                     if moved_per_t[j] != 3:
                         raise RuntimeError(
                             f"double coset of a 3-cycle hit holds a non-hit at degree {n}, "
                             f"s = {s_img} (this is a bug)")
                     labelled[j] = 1
-                t_img = tuple(x + 1 for x in images[i])
+                t_img = tuple(images[i].translate(one_based))
                 if groups.generates_alt_or_sym(s_img, t_img) != groups.NEITHER:
                     generating += len(coset)
             i = moved_per_t.find(3, i + 1)
@@ -187,23 +191,31 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     return totals
 
 
-def _double_coset(t: bytes, s: bytes, index: dict[bytes, int]) -> list[int]:
-    """The indices in index of the double coset <s> t <s>, as 0-based image bytes.
+def _powers(s: bytes) -> tuple[list[bytes], list[bytes]]:
+    """The powers s^0, s^1, ..., s^(m-1) of s (m its order) as 0-based image bytes.
 
-    {t} is closed under t -> t s and t -> s t, each one bytes.translate:
-    (t s)(x) = t(s(x)) translates s through t, and (s t)(x) = s(t(x))
-    translates t through s.
+    Returned twice: as image bytes, and padded to 256 bytes as translate
+    tables, so that u.translate(table) is the image bytes of s^j u.
     """
+    powers = [bytes(range(len(s)))]
     through_s = s.ljust(256, b"\0")
-    seen = {t}
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        for v in (s.translate(u.ljust(256, b"\0")), u.translate(through_s)):
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return [index[u] for u in seen]
+    power = s
+    while power != powers[0]:
+        powers.append(power)
+        power = power.translate(through_s)
+    return powers, [power.ljust(256, b"\0") for power in powers]
+
+
+def _double_coset(t: bytes, powers: list[bytes], tables: list[bytes]) -> set[bytes]:
+    """The double coset <s> t <s> as a set of 0-based image bytes.
+
+    powers and tables are the powers of s from _powers.  (t s^k)(x) =
+    t(s^k(x)) translates s^k through t, and (s^j u)(x) = s^j(u(x))
+    translates u through s^j.
+    """
+    through_t = t.ljust(256, b"\0")
+    right = {power.translate(through_t) for power in powers}
+    return {u.translate(table) for u in right for table in tables}
 
 
 def brute_triple_counts(n: int, kind: str, d: int | None = None) -> int:
@@ -248,5 +260,5 @@ def brute_twist_count(a: int, b: int, k: int, ell: int) -> int:
         1
         for alpha in range(k)
         for beta in range(ell)
-        if gcd(k, gcd(ell, abs(a * beta - b * alpha))) == 1
+        if gcd(k, ell, a * beta - b * alpha) == 1
     )

@@ -228,30 +228,30 @@ def twist_count(a: int, b: int, k: int, ell: int) -> int:
 
 
 def lattice_generates_z2(vectors) -> bool:
-    """Whether the integer span of the given 2-vectors is all of Z^2.
+    """Whether the integer span of the given integer 2-vectors is all of Z^2.
 
     Hermite reduction: fold each vector into a row-echelon pair
-    [[a, b], [0, c]]; the span is Z^2 exactly when |a*c| = 1.  Fewer than
-    two independent vectors never suffice.  Folding (x, y) into the first
-    row takes the extended gcd u*a + v*x = g of the leading entries.
+    [[a, b], [0, c]] with a >= 0; the span is Z^2 exactly when a = c = 1.
+    Fewer than two independent vectors never suffice.  A vector (x, y)
+    with x > 0 (negate it if x < 0) folds into the first row through
+    u*a + v*x = g = gcd(a, x): u is the inverse of a/g modulo x/g, and
+    the row (x/g)*(a, b) - (a/g)*(x, y) = (0, leftover) joins c.  Every
+    entry passes through math.gcd, which raises TypeError on a
+    non-integer entry instead of truncating it.
     """
     a = b = c = 0
-    for vx, vy in vectors:
-        x, y = int(vx), int(vy)
-        if x == 0:
-            c = gcd(c, y)
+    for x, y in vectors:
+        if not x:
+            c = gcd(c, x, y)
             continue
-        if a == 0:
-            a, b = abs(x), y if x > 0 else -y
+        if x < 0:
+            x, y = -x, -y
+        if not a:
+            a, b = x, y
             continue
-        g, r, u, u_next, v, v_next = a, x, 1, 0, 0, 1
-        while r:
-            q = g // r
-            g, r = r, g - q * r
-            u, u_next = u_next, u - q * u_next
-            v, v_next = v_next, v - q * v_next
-        new_b = u * b + v * y
-        leftover = (x // g) * b - (a // g) * y
-        a, b = g, new_b
-        c = gcd(c, leftover)
-    return a == 1 and c == 1
+        g = gcd(a, x)
+        a_g, x_g = a // g, x // g
+        u = pow(a_g, -1, x_g)
+        a, b, c = g, u * b + (g - u * a) // x * y, gcd(c, x_g * b - a_g * y)
+    gcd(a, b)  # the first row's entries have passed through no gcd yet
+    return a == c == 1

@@ -66,7 +66,6 @@ def _suite_identities(max_n: int, allow_n8: bool) -> list[str]:
         "eps": arith.ArithSeq.tabulate(lambda n: int(n == 1), bound),
         "tau": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 0), bound),
         "sigma1": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 1), bound),
-        "sigma2": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 2), bound),
         "sigma3": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 3), bound),
         "phi": arith.ArithSeq.tabulate(arith.euler_phi, bound),
         "j2": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 2), bound),
@@ -93,12 +92,8 @@ def _suite_identities(max_n: int, allow_n8: bool) -> list[str]:
     _check(
         failures,
         "moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
-        all(
-            arith.moebius_scaled_divisor_sum(n, k)
-            == _euler_product(n, k)
-            for n in range(1, 501)
-            for k in (0, 1, 2)
-        ),
+        all(_is_euler_product(arith.moebius_scaled_divisor_sum(n, k), n, k)
+            for n in range(1, 501) for k in (0, 1, 2)),
     )
     # Each additive convolution sum over 0 < k < n, for every n in the range,
     # is one coefficient of a single series product (slot 0 of sigma is 0).
@@ -131,39 +126,35 @@ def _matches_ramanujan(conv: list[int], order: str, sig1: list[int], sig3: list[
         return False
 
 
-def _euler_product(n: int, k: int) -> Fraction:
-    """prod over p | n of (1 - p^-k), as one Fraction prod(p^k - 1) / prod(p^k)."""
+def _is_euler_product(value: Fraction, n: int, k: int) -> bool:
+    """Whether value = prod over p | n of (1 - p^-k) = prod(p^k - 1) / prod(p^k).
+
+    The two sides are compared cross-multiplied, in integers.
+    """
     powers = [p**k for p, _ in arith.factorize(n)]
-    return Fraction(prod(pk - 1 for pk in powers), prod(powers))
+    return value.numerator * prod(powers) == prod(pk - 1 for pk in powers) * value.denominator
 
 
 def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
     """Build/classify round trips and primitivity criterion agreement."""
     failures: list[str] = []
-    ok = True
-    for params in _one_cyl_params(10):
-        if origami.classify_origami(*origami.build_one_cylinder(params)) != params:
-            ok = False
-    _check(failures, "one-cylinder round trip (n <= 10)", ok)
-    ok = True
-    for params in _two_cyl_params(10):
-        if origami.classify_origami(*origami.build_two_cylinder(params)) != params:
-            ok = False
-    _check(failures, "two-cylinder round trip (n <= 10)", ok)
-    ok = True
+    one_trip = one_primitive = True
     for params in _one_cyl_params(10):
         s, t = origami.build_one_cylinder(params)
-        built = groups.generated(s, t)
-        if origami.one_cylinder_primitive(params) != groups.is_primitive(built):
-            ok = False
-    _check(failures, "one-cylinder primitivity criterion (n <= 10)", ok)
-    ok = True
-    for params in _two_cyl_params(9):
+        one_trip &= origami.classify_origami(s, t) == params
+        one_primitive &= (origami.one_cylinder_primitive(params)
+                          == groups.is_primitive(groups.generated(s, t)))
+    two_trip = two_primitive = True
+    for params in _two_cyl_params(10):
         s, t = origami.build_two_cylinder(params)
-        built = groups.generated(s, t)
-        if origami.two_cylinder_primitive(params) != groups.is_primitive(built):
-            ok = False
-    _check(failures, "two-cylinder primitivity criterion (n <= 9)", ok)
+        two_trip &= origami.classify_origami(s, t) == params
+        if params.n <= 9:
+            two_primitive &= (origami.two_cylinder_primitive(params)
+                              == groups.is_primitive(groups.generated(s, t)))
+    _check(failures, "one-cylinder round trip (n <= 10)", one_trip)
+    _check(failures, "two-cylinder round trip (n <= 10)", two_trip)
+    _check(failures, "one-cylinder primitivity criterion (n <= 10)", one_primitive)
+    _check(failures, "two-cylinder primitivity criterion (n <= 9)", two_primitive)
     ok = True
     for a, b in ((1, 1), (1, 2), (2, 3)):
         for k in range(1, 13):
@@ -183,10 +174,8 @@ def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
                     for alpha in range(k):
                         for beta in range(ell):
                             spans = origami.lattice_generates_z2(
-                                [(alpha, a), (beta, b), (k, 0), (ell, 0)]
-                            )
-                            criterion = gcd(k, gcd(ell, abs(a * beta - b * alpha))) == 1
-                            if spans != criterion:
+                                ((alpha, a), (beta, b), (k, 0), (ell, 0)))
+                            if spans != (gcd(k, ell, a * beta - b * alpha) == 1):
                                 ok = False
     _check(failures, "lattice span matches gcd criterion (a,b,k,ell <= 6)", ok)
     return failures
@@ -225,10 +214,9 @@ def _suite_bounds(max_n: int, allow_n8: bool) -> list[str]:
           f"eps = {report.epsilon}: {last}", file=sys.stderr)
     sig1 = arith.sigma_table(2000)
     sig3 = arith.sigma_table(2000, 3)
+    phi = arith.totient_table(2000)
     ok_upper = all(sig3[n] < n * n * sig1[n] for n in range(2, 2001))
-    ok_lower = all(
-        sig3[n] > n * arith.euler_phi(n) * sig1[n] for n in range(2, 2001)
-    )
+    ok_lower = all(sig3[n] > n * phi[n] * sig1[n] for n in range(2, 2001))
     _check(failures, "sigma_3 < n^2 sigma (n <= 2000)", ok_upper)
     _check(failures, "sigma_3 > n phi(n) sigma (n <= 2000)", ok_lower)
     return failures

@@ -23,6 +23,7 @@ from permcensus.arith import (
     series_product,
     sigma_k,
     sigma_table,
+    totient_table,
 )
 
 N = 500
@@ -126,6 +127,14 @@ def test_sigma_table_matches_sigma_k():
 def test_sigma_table_rejects_negative_arguments(bound, k):
     with pytest.raises(ValueError):
         sigma_table(bound, k)
+
+
+def test_totient_table_matches_euler_phi():
+    assert totient_table(0) == [0]
+    assert totient_table(1) == [0, 1]
+    assert totient_table(3000) == [0] + [euler_phi(n) for n in range(1, 3001)]
+    with pytest.raises(ValueError):
+        totient_table(-1)
 
 
 def test_sigma_table_returns_a_new_list_each_call():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,23 @@ def test_verify_counts_a_non_integer_closed_form_as_a_failure(capsys, monkeypatc
     assert code == 1
     assert "FAIL sigma convolution closed form deg1 (n <= 5000)" in out
     assert "FAIL sigma convolution closed form deg3 (n <= 5000)" in out
+
+
+def test_verify_catches_a_moebius_sum_off_by_one_term(capsys, monkeypatch):
+    from permcensus import arith
+
+    real = arith.moebius_scaled_divisor_sum
+
+    def off_at_360(n, k):
+        return real(n, k) + Fraction(n == 360, n**k)
+
+    monkeypatch.setattr(arith, "moebius_scaled_divisor_sum", off_at_360)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "identities")
+    assert code == 1
+    assert out.splitlines() == [
+        "suite identities: 1 failure(s)",
+        "  FAIL moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
+    ]
 
 
 def test_verify_characters_json(capsys):

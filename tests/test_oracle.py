@@ -5,11 +5,13 @@ from math import factorial
 
 import pytest
 
-from permcensus import groups
+from permcensus import groups, oracle
 from permcensus.census import census_row
 from permcensus.oracle import (
     FAMILIES,
     _commutator_moves_three,
+    _double_coset,
+    _powers,
     _rep_from_flag,
     brute_count,
     brute_counts,
@@ -92,6 +94,58 @@ def test_single_pass_decides_generation_once_per_double_coset(n, cosets, monkeyp
     assert brute_counts(n) == {family: formula_value(n, family) * factorial(n)
                                for family in FAMILIES}
     assert calls == double_cosets_of_hits(n) == cosets
+
+
+def closure_walk(t, s, step=None):
+    """The double coset <s> t <s> by closing {t} under t -> t s and t -> s t.
+
+    This is the walk brute_counts made before it built the coset from the
+    powers of s.  Images are 0-based bytes; step replaces t -> t s.
+    """
+    through_s = s.ljust(256, b"\0")
+    step = step or (lambda u: u.translate(through_s))
+    seen = {t}
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        for v in (s.translate(u.ljust(256, b"\0")), step(u)):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def hits_by_representative(n):
+    """Each class representative s with its 3-cycle hits t, both as 0-based bytes."""
+    for flag in enumerate_partitions(n):
+        s = _rep_from_flag(tuple(flag), n)
+        s_inv = inverse(s)
+        hits = [bytes(x - 1 for x in t) for t in permutations(range(1, n + 1))
+                if _commutator_moves_three(s, s_inv, t, inverse(t))]
+        yield bytes(x - 1 for x in s), hits
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_double_coset_matches_the_closure_walk(n):
+    for s, hits in hits_by_representative(n):
+        powers, tables = _powers(s)
+        assert len(set(powers)) == len(powers) and s in powers[:2]
+        hit_set = set(hits)
+        for t in hits:
+            coset = _double_coset(t, powers, tables)
+            assert coset == closure_walk(t, s)
+            assert coset <= hit_set
+
+
+def test_a_walk_that_leaves_the_double_coset_trips_the_self_check(monkeypatch):
+    def squaring_walk(t, powers, tables):
+        # t -> t t in place of t -> t s: t t is not in <s> t <s> in general.
+        return closure_walk(t, powers[1 % len(powers)], step=lambda u: u.translate(u.ljust(256, b"\0")))
+
+    monkeypatch.setattr(oracle, "_double_coset", squaring_walk)
+    for n in range(3, 8):
+        with pytest.raises(RuntimeError, match="non-hit"):
+            brute_counts(n)
 
 
 def test_single_pass_matches_formulas_at_eight():

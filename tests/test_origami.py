@@ -1,8 +1,12 @@
 """Cylinder builders and classifiers, primitivity criteria, twist and triple counts."""
 
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from permcensus.groups import generated, is_primitive, is_transitive
 from permcensus.oracle import brute_triple_counts, brute_twist_count
@@ -169,8 +173,10 @@ def reference_lattice_generates_z2(vectors):
         if x == 0:
             c = gcd(c, y)
             continue
+        if x < 0:
+            x, y = -x, -y
         if a == 0:
-            a, b = abs(x), y if x > 0 else -y
+            a, b = x, y
             continue
         g, u, v = xgcd(a, x)
         a, b, c = g, u * b + v * y, gcd(c, (x // g) * b - (a // g) * y)
@@ -187,6 +193,38 @@ def test_lattice_examples():
     assert lattice_generates_z2([(3, 0), (0, 1), (1, 0)])
     for vectors in ([(6, 4), (-9, 3), (4, 0)], [(-3, 1), (5, 2)], [(4, 2), (6, 3)]):
         assert lattice_generates_z2(vectors) == reference_lattice_generates_z2(vectors)
+
+
+def test_lattice_folds_a_negative_leading_entry():
+    # A vector with x < 0 after the first row once made the fold's gcd -1.
+    assert lattice_generates_z2([(1, 0), (-1, 0), (0, 1)])
+    assert lattice_generates_z2([(-1, 0), (0, 1)])
+    assert lattice_generates_z2([(0, -1), (-1, 5)])
+    assert lattice_generates_z2([(2, 1), (-3, 0), (0, 1)])
+    assert not lattice_generates_z2([(2, 0), (-4, 0), (0, 1)])
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=5))
+@example([(-2, 9), (-6, 1), (-9, -9), (-9, 8), (-9, 3)])
+def test_lattice_matches_the_gcd_of_its_minors(vectors):
+    """The span is Z^2 exactly when the 2x2 minors of the vectors have gcd 1."""
+    minors = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(vectors, 2)]
+    expected = gcd(0, *minors) == 1
+    assert lattice_generates_z2(vectors) == expected
+    assert reference_lattice_generates_z2(vectors) == expected
+
+
+@pytest.mark.parametrize("vectors", [
+    [(1.5, 0), (0, 1)],
+    [(1, 0.5)],
+    [(0, 1), (1, 0.5)],
+    [(2, 1), (3.0, 1)],
+    [(0.0, 1), (1, 0)],
+    [(1, 0), (0, Fraction(1, 2))],
+])
+def test_lattice_rejects_a_non_integer_entry(vectors):
+    with pytest.raises(TypeError):
+        lattice_generates_z2(vectors)
 
 
 def test_lattice_four_tuple_matches_gcd_criterion():

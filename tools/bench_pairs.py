@@ -22,6 +22,16 @@ pairs the change reads lower.  For the claimed workload and metric it records
 whether the gain holds: the change lower in at least nine tenths of the pairs,
 and the medians apart by more than the distance between the parent's
 quartiles.
+
+It also checks every end-to-end metric of BENCHMARK.json on every workload
+against the metric's bound, a relative change: a metric got worse beyond its
+bound when the change's median is worse than the parent's by more than the
+bound times the parent's median.  A metric is unresolved when the parent's
+quartile distance is wider than that margin and the change's runs do not all
+read better than all of the parent's, and a workload fails when the change
+fails a larger share of its invocations.  The script prints one line for each
+metric that is worse or unresolved and each workload that fails more, and
+exits 1 when any metric got worse or any workload fails more.
 """
 
 from __future__ import annotations
@@ -46,7 +56,38 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
-def build(paths: list[Path], claim: tuple[str, str]) -> dict:
+def check_bounds(workloads: dict, end_to_end: list[dict]) -> list[dict]:
+    """Each end-to-end metric of each workload against its bound, and each failure share.
+
+    end_to_end is the "end_to_end" list of BENCHMARK.json: name, better
+    ("lower" or "higher") and bound, the largest relative worsening allowed.
+    """
+    checks = []
+    for workload, data in sorted(workloads.items()):
+        for spec in end_to_end:
+            name, bound = spec["name"], spec["bound"]
+            sign = 1 if spec["better"] == "lower" else -1
+            got = data["metrics"][name]
+            parent, change = got["parent"]["median"], got["change"]["median"]
+            worse_by = sign * (change - parent) / parent
+            all_better = all(sign * (c["change"][name] - p["parent"][name]) < 0
+                             for p in data["pairs"] for c in data["pairs"])
+            if worse_by > bound:
+                status = "worse"
+            elif got["parent"]["q3"] - got["parent"]["q1"] > bound * parent and not all_better:
+                status = "unresolved"
+            else:
+                status = "within"
+            checks.append({"workload": workload, "metric": name, "bound": bound,
+                           "worse_by": worse_by, "status": status})
+        share = {side: sum(p[side]["failed"] for p in data["pairs"])
+                 / max(1, sum(p[side]["attempted"] for p in data["pairs"])) for side in SIDES}
+        checks.append({"workload": workload, "metric": "failed_share", **share,
+                       "status": "worse" if share["change"] > share["parent"] else "within"})
+    return checks
+
+
+def build(paths: list[Path], claim: tuple[str, str], end_to_end: list[dict]) -> dict:
     runs: dict[str, dict[int, dict[str, tuple[dict, dict, float]]]] = {}
     for path in paths:
         workload, seed, side = path.name.removesuffix(".jsonl").rsplit(".", 2)
@@ -95,6 +136,7 @@ def build(paths: list[Path], claim: tuple[str, str]) -> dict:
                   "parent_quartile_distance": parent_iqr,
                   "change_lower_in": got["change_lower_in"], "pairs": got["pairs"],
                   "holds": 10 * got["change_lower_in"] >= 9 * got["pairs"] and gap > parent_iqr},
+        "bounds": check_bounds(workloads, end_to_end),
         "workloads": workloads,
     }
 
@@ -103,16 +145,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--benchmark", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "BENCHMARK.json",
+                        help="the benchmark declaration with the end-to-end bounds")
     parser.add_argument("logs", nargs="+", type=Path)
     args = parser.parse_args(argv)
-    report = build(args.logs, tuple(args.claim.split(":", 1)))
+    end_to_end = json.loads(args.benchmark.read_text())["end_to_end"]
+    report = build(args.logs, tuple(args.claim.split(":", 1)), end_to_end)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     claim = report["claim"]
     print(f"{claim['workload']} {claim['metric']}: change lower in {claim['change_lower_in']} "
           f"of {claim['pairs']} pairs, median gap {claim['median_gap']:.4f} against parent "
           f"quartile distance {claim['parent_quartile_distance']:.4f}: "
           f"{'holds' if claim['holds'] else 'does not hold'}")
-    return 0
+    flagged = [check for check in report["bounds"] if check["status"] != "within"]
+    for check in flagged:
+        if check["metric"] == "failed_share":
+            print(f"{check['workload']}: the change fails {check['change']:.3f} of its "
+                  f"invocations, the parent {check['parent']:.3f}")
+        else:
+            print(f"{check['workload']} {check['metric']}: {check['status']}, "
+                  f"{check['worse_by']:+.3f} against a bound of {check['bound']}")
+    return 1 if any(check["status"] == "worse" for check in flagged) else 0
 
 
 if __name__ == "__main__":

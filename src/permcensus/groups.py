@@ -71,9 +71,9 @@ def _merge_closure(images: Group, parent: list[int], x: int, y: int) -> int:
     """
     full = len(parent) - 2
     merges = 0
-    us, vs = [x], [y]  # the pairs still to merge, one stack per side
-    while us:
-        u, v = us.pop(), vs.pop()
+    queue = [(x, y)]
+    while queue:
+        u, v = queue.pop()
         while parent[u] != u:  # find with path halving; the hot loop of verify
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -85,8 +85,7 @@ def _merge_closure(images: Group, parent: list[int], x: int, y: int) -> int:
         if merges == full:
             break
         for img in images:
-            us.append(img[u - 1])
-            vs.append(img[v - 1])
+            queue.append((img[u - 1], img[v - 1]))
     return merges
 
 

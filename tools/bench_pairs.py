@@ -43,6 +43,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def read_log(path: Path) -> tuple[dict, dict]:
@@ -145,12 +146,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
-    parser.add_argument("--benchmark", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCHMARK.json",
-                        help="the benchmark declaration with the end-to-end bounds")
     parser.add_argument("logs", nargs="+", type=Path)
     args = parser.parse_args(argv)
-    end_to_end = json.loads(args.benchmark.read_text())["end_to_end"]
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
     report = build(args.logs, tuple(args.claim.split(":", 1)), end_to_end)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     claim = report["claim"]

@@ -7,8 +7,6 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).parent.parent / "tools" / "bench_pairs.py"
-# The repo's own bounds: setup_s 0.25, wall_s 0.24, first_row_s 0.24, peak_rss_mb 0.1.
-END_TO_END = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +34,11 @@ def write_logs(tmp_path, workload, sides, failed=None):
 
 
 def runs(walls, rss=20.0):
-    """One run per wall time, carrying every end-to-end metric of BENCHMARK.json."""
+    """One run per wall time, carrying every end-to-end metric of BENCHMARK.json.
+
+    The checks below use the repo's bounds: setup_s 0.25, wall_s 0.24,
+    first_row_s 0.24 and peak_rss_mb 0.1.
+    """
     return [{"setup_s": 0.07, "wall_s": wall, "first_row_s": 0.1, "peak_rss_mb": rss}
             for wall in walls]
 
@@ -48,7 +50,7 @@ def statuses(report):
 def test_a_faster_change_holds_its_claim_and_stays_within_every_bound(bench_pairs, tmp_path):
     paths = write_logs(tmp_path, "deep", {"parent": runs([1.00, 1.01, 0.99, 1.02]),
                                           "change": runs([0.90, 0.91, 0.89, 0.92])})
-    report = bench_pairs.build(paths, ("deep", "wall_s"), END_TO_END)
+    report = bench_pairs.build(paths, ("deep", "wall_s"))
     assert report["claim"]["holds"]
     assert statuses(report) == {("deep", metric): "within" for metric in
                                 ("setup_s", "wall_s", "first_row_s", "peak_rss_mb",
@@ -60,7 +62,7 @@ def test_a_metric_worse_beyond_its_bound_is_flagged_on_its_own_workload(bench_pa
                                           "change": runs([0.9] * 4)})
     paths += write_logs(tmp_path, "wide", {"parent": runs([1.0] * 4, rss=20.0),
                                            "change": runs([1.1] * 4, rss=23.0)})
-    report = bench_pairs.build(paths, ("deep", "wall_s"), END_TO_END)
+    report = bench_pairs.build(paths, ("deep", "wall_s"))
     got = statuses(report)
     assert got[("wide", "peak_rss_mb")] == "worse"  # +15% against a bound of 10%
     assert got[("wide", "wall_s")] == "within"  # +10% against a bound of 24%
@@ -72,19 +74,19 @@ def test_a_metric_worse_beyond_its_bound_is_flagged_on_its_own_workload(bench_pa
 def test_a_spread_wider_than_the_bound_is_unresolved(bench_pairs, tmp_path):
     paths = write_logs(tmp_path, "deep", {"parent": runs([0.7, 1.0, 1.3, 1.0]),
                                           "change": runs([0.8, 1.0, 1.2, 1.05])})
-    report = bench_pairs.build(paths, ("deep", "wall_s"), END_TO_END)
+    report = bench_pairs.build(paths, ("deep", "wall_s"))
     assert statuses(report)[("deep", "wall_s")] == "unresolved"
     # Every change run better than every parent run resolves it.
     paths = write_logs(tmp_path, "deep", {"parent": runs([0.7, 1.0, 1.3, 1.0]),
                                           "change": runs([0.5, 0.6, 0.55, 0.6])})
-    report = bench_pairs.build(paths, ("deep", "wall_s"), END_TO_END)
+    report = bench_pairs.build(paths, ("deep", "wall_s"))
     assert statuses(report)[("deep", "wall_s")] == "within"
 
 
 def test_a_larger_failure_share_is_flagged(bench_pairs, tmp_path):
     paths = write_logs(tmp_path, "deep", {"parent": runs([1.0] * 2), "change": runs([0.9] * 2)},
                        failed={"change": 1})
-    report = bench_pairs.build(paths, ("deep", "wall_s"), END_TO_END)
+    report = bench_pairs.build(paths, ("deep", "wall_s"))
     assert statuses(report)[("deep", "failed_share")] == "worse"
 
 

@@ -23,15 +23,15 @@ whether the gain holds: the change lower in at least nine tenths of the pairs,
 and the medians apart by more than the distance between the parent's
 quartiles.
 
-It also checks every end-to-end metric of BENCHMARK.json on every workload
-against the metric's bound, a relative change: a metric got worse beyond its
-bound when the change's median is worse than the parent's by more than the
-bound times the parent's median.  A metric is unresolved when the parent's
-quartile distance is wider than that margin and the change's runs do not all
-read better than all of the parent's, and a workload fails when the change
-fails a larger share of its invocations.  The script prints one line for each
-metric that is worse or unresolved and each workload that fails more, and
-exits 1 when any metric got worse or any workload fails more.
+It also checks every end-to-end metric of the repo's BENCHMARK.json on every
+workload against the metric's bound, a relative change: a metric got worse
+beyond its bound when the change's median is worse than the parent's by more
+than the bound times the parent's median.  A metric is unresolved when the
+parent's quartile distance is wider than that margin and the change's runs do
+not all read better than all of the parent's, and a workload fails when the
+change fails a larger share of its invocations.  The script prints one line
+for each metric that is worse or unresolved and each workload that fails more,
+and exits 1 when any metric got worse or any workload fails more.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ from pathlib import Path
 from statistics import median, quantiles
 
 SIDES = ("parent", "change")
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# The end-to-end metrics of the repo's benchmark: name, better ("lower" or
+# "higher") and bound, the largest relative worsening allowed.
+END_TO_END = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def read_log(path: Path) -> tuple[dict, dict]:
@@ -57,15 +60,11 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
-def check_bounds(workloads: dict, end_to_end: list[dict]) -> list[dict]:
-    """Each end-to-end metric of each workload against its bound, and each failure share.
-
-    end_to_end is the "end_to_end" list of BENCHMARK.json: name, better
-    ("lower" or "higher") and bound, the largest relative worsening allowed.
-    """
+def check_bounds(workloads: dict) -> list[dict]:
+    """Each end-to-end metric of each workload against its bound, and each failure share."""
     checks = []
     for workload, data in sorted(workloads.items()):
-        for spec in end_to_end:
+        for spec in END_TO_END:
             name, bound = spec["name"], spec["bound"]
             sign = 1 if spec["better"] == "lower" else -1
             got = data["metrics"][name]
@@ -88,7 +87,7 @@ def check_bounds(workloads: dict, end_to_end: list[dict]) -> list[dict]:
     return checks
 
 
-def build(paths: list[Path], claim: tuple[str, str], end_to_end: list[dict]) -> dict:
+def build(paths: list[Path], claim: tuple[str, str]) -> dict:
     runs: dict[str, dict[int, dict[str, tuple[dict, dict, float]]]] = {}
     for path in paths:
         workload, seed, side = path.name.removesuffix(".jsonl").rsplit(".", 2)
@@ -137,7 +136,7 @@ def build(paths: list[Path], claim: tuple[str, str], end_to_end: list[dict]) -> 
                   "parent_quartile_distance": parent_iqr,
                   "change_lower_in": got["change_lower_in"], "pairs": got["pairs"],
                   "holds": 10 * got["change_lower_in"] >= 9 * got["pairs"] and gap > parent_iqr},
-        "bounds": check_bounds(workloads, end_to_end),
+        "bounds": check_bounds(workloads),
         "workloads": workloads,
     }
 
@@ -148,8 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
     parser.add_argument("logs", nargs="+", type=Path)
     args = parser.parse_args(argv)
-    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
-    report = build(args.logs, tuple(args.claim.split(":", 1)), end_to_end)
+    report = build(args.logs, tuple(args.claim.split(":", 1)))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     claim = report["claim"]
     print(f"{claim['workload']} {claim['metric']}: change lower in {claim['change_lower_in']} "

@@ -162,7 +162,7 @@ class ArithSeq(namedtuple("ArithSeq", "values")):
     """An integer arithmetic function eagerly tabulated on 1..bound, immutable.
 
     values[n] is the int f(n); slot 0 is unused padding so that indices
-    match arguments.
+    match arguments.  Any value that is not an int raises TypeError.
     """
 
     __slots__ = ()
@@ -170,6 +170,8 @@ class ArithSeq(namedtuple("ArithSeq", "values")):
     def __new__(cls, values: tuple[int, ...]) -> "ArithSeq":
         if len(values) < 2:
             raise ValueError("ArithSeq needs at least the value at n = 1")
+        if not all(isinstance(v, int) for v in values):
+            raise TypeError("ArithSeq holds ints only")
         return super().__new__(cls, values)
 
     @classmethod

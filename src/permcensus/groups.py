@@ -5,6 +5,7 @@ tuple as in perm: entry x - 1 is the image of the point x, points are
 1-based, and a perm.Permutation (the validated parse/print type) serves
 as well as a plain tuple.  generated() builds such a group and checks
 it; the routines here read the group's degree off its first generator.
+The 3-cycle certificate of jordan_route comes from perm.three_cycle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import factorial
 
-from permcensus.perm import compose, inverse, signature
+from permcensus.perm import compose, inverse, signature, three_cycle
 
 ALT = "alt"
 SYM = "sym"
@@ -224,23 +225,14 @@ def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
     b.  So <s, t> is primitive exactly when the smallest block containing
     {a, b} is the whole set, that is when the closure from (a, b) makes
     n - 1 merges.  Those merges also show transitivity, because the
-    closure never leaves the orbit of a.
-
-    The commutator is never built.  [s, t] = s t s^-1 t^-1 moves the point
-    t(u) exactly when t(s^-1(u)) != s^-1(t(u)), so the moved points are
-    counted from s^-1 alone; for the first such u, a = t(u) is a point of
-    the 3-cycle and [s, t](a) = s(t(s^-1(u))).
+    closure never leaves the orbit of a.  perm.three_cycle gives a and b
+    without building the commutator.
     """
     n = _common_degree(s, t)
-    s_inv = [0] * (n + 1)
-    for x, y in enumerate(s, 1):
-        s_inv[y] = x
-    moved = [u for u in range(1, n + 1) if t[s_inv[u] - 1] != s_inv[t[u - 1]]]
-    if len(moved) != 3:
+    cycle = three_cycle(s, t)
+    if cycle is None:
         return None if is_primitive((s, t)) else NEITHER
-    u = moved[0]
-    a, b = t[u - 1], s[t[s_inv[u] - 1] - 1]
-    if _merge_closure((s, t), list(range(n + 1)), a, b) != n - 1:
+    if _merge_closure((s, t), list(range(n + 1)), cycle[0], cycle[1]) != n - 1:
         return NEITHER
     return ALT if signature(s) == 1 and signature(t) == 1 else SYM
 

@@ -11,20 +11,20 @@ exactly two ways:
   marked segments and rotated against each other by twists alpha, beta.
 
 Builders produce a canonical numbering (each row a consecutive block,
-bottom to top), classify_origami inverts them, and the primitivity
-predicates decide when the surface is not a proper cover.
+bottom to top), classify_origami inverts them from the 3-cycle that
+perm.three_cycle reads and one index of the s-cycles, and the
+primitivity predicates decide when the surface is not a proper cover.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 from math import gcd
 
 from permcensus import groups
 from permcensus.arith import euler_phi
-from permcensus.perm import CaseA, classify_commutator, cycle_structure, s_distance
+from permcensus.perm import cycle_structure, three_cycle
 
 
 class OneCylParams(namedtuple("OneCylParams", "k a b c")):
@@ -138,9 +138,13 @@ def build_two_cylinder(params: TwoCylParams) -> tuple[tuple[int, ...], tuple[int
 def classify_origami(s: Sequence[int], t: Sequence[int]) -> OneCylParams | TwoCylParams:
     """Recover cylinder parameters from a connected pair with 3-cycle commutator.
 
-    Inverts the builders: the commutator's moved points locate the marked
-    segments, the s-cycle lengths give widths and heights, and for two
-    cylinders the twists are read off from where t carries the marked
+    Inverts the builders.  With [s, t] = (z y x) and steps(u, v) the
+    number of s-steps from u to v on their shared s-cycle (None when they
+    share none, read off one index of the s-cycles): all three points on
+    one s-cycle give one cylinder with segments steps(x, y), steps(y, z),
+    steps(z, x); x and y on one s-cycle and z alone on a shorter one give
+    two cylinders.  The s-cycle lengths give widths and heights, and for
+    two cylinders the twists are read off from where t carries the marked
     bottom points across the gluing.  Raises ValueError when the pair is
     disconnected, the commutator is not a 3-cycle, or the cycle data is
     inconsistent with both shapes.
@@ -150,22 +154,37 @@ def classify_origami(s: Sequence[int], t: Sequence[int]) -> OneCylParams | TwoCy
     n = len(s)
     if not groups.is_transitive((s, t)):
         raise ValueError("surface is not connected")
-    case = classify_commutator(s, t)
-    lengths = sorted(len(c) for c in cycle_structure(s).cycles)
+    moved = three_cycle(s, t)
+    if moved is None:
+        raise ValueError("commutator is not a 3-cycle")
+    cycles = cycle_structure(s).cycles
+    where = {p: (cycle, i) for cycle in cycles for i, p in enumerate(cycle)}
 
-    if isinstance(case, CaseA):
-        a, b, c = case.segments
-        m = a + b + c
+    def steps(u: int, v: int) -> int | None:
+        (cycle_u, i), (cycle_v, j) = where[u], where[v]
+        return (j - i) % len(cycle_u) if cycle_u is cycle_v else None
+
+    lengths = sorted(map(len, cycles))
+    x, z, y = moved
+    segments = steps(x, y), steps(y, z), steps(z, x)
+    if None not in segments:
+        m = len(where[x][0])
+        if sum(segments) != m:
+            raise ValueError("three points share a cycle but segments do not close up")
         if any(length != m for length in lengths):
             raise ValueError("one-cylinder shape needs all s-cycles of equal length")
-        return OneCylParams(n // m, a, b, c)
+        return OneCylParams(n // m, *segments)
 
-    x, y, z = case.x, case.y, case.z
-    k = case.short_length
-    ell_dist = s_distance(s, x, x)
-    if not math.isfinite(ell_dist):
-        raise ValueError("x must lie on a finite cycle")
-    ell = int(ell_dist)
+    for _ in range(3):  # turn (z y x) until x and y are the two that share an s-cycle
+        if steps(x, y) is not None:
+            break
+        z, y, x = y, x, z
+    else:
+        raise ValueError("moved points do not form a one-cycle or two-cycle pattern")
+    k = len(where[z][0])
+    if k != steps(y, x):
+        raise ValueError("lone point's cycle length does not match steps(y, x)")
+    ell = len(where[x][0])
     if k >= ell:
         raise ValueError("two-cylinder shape needs the lone cycle strictly shorter")
     a = lengths.count(k)
@@ -176,22 +195,21 @@ def classify_origami(s: Sequence[int], t: Sequence[int]) -> OneCylParams | TwoCy
     up = z
     for _ in range(a):
         up = t[up - 1]
-    steps_y = 0 if up == y else s_distance(s, y, up)
-    if not math.isfinite(steps_y) or steps_y >= k:
+    steps_y = steps(y, up)
+    if steps_y is None or steps_y >= k:
         raise ValueError("t does not carry the short cylinder onto the y-segment")
-    alpha = (-int(steps_y)) % k
+    alpha = -steps_y % k
 
     up = y
     for _ in range(b):
         up = t[up - 1]
-    if up == z or math.isfinite(s_distance(s, z, up)):
-        pos = 0 if up == z else int(s_distance(s, z, up))
-    else:
-        steps_x = 0 if up == x else s_distance(s, x, up)
-        if not math.isfinite(steps_x) or steps_x >= ell - k:
+    pos = steps(z, up)
+    if pos is None:
+        steps_x = steps(x, up)
+        if steps_x is None or steps_x >= ell - k:
             raise ValueError("t does not carry the tall cylinder onto the gluing row")
-        pos = k + int(steps_x)
-    beta = (-pos) % ell
+        pos = k + steps_x
+    beta = -pos % ell
     return TwoCylParams(a, b, k, ell, alpha, beta)
 
 

@@ -1,8 +1,8 @@
-"""Permutations of {1, ..., n}: composition, cycles, distances, commutators.
+"""Permutations of {1, ..., n}: composition, cycles, commutators and their 3-cycles.
 
 A permutation is its image tuple: entry x - 1 is the image of the point
 x, so points are 1-based everywhere.  compose, inverse, commutator,
-cycle_structure, signature and s_distance take any such tuple, and the
+three_cycle, cycle_structure and signature take any such tuple, and the
 first three return plain tuples.  Permutation is the validated type for
 parsing and printing: a tuple subclass whose constructor checks the
 bijection, so every Permutation is also an image tuple.  Disjoint-cycle
@@ -12,7 +12,6 @@ printed forms are canonical.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
@@ -68,6 +67,32 @@ def inverse(s: Sequence[int]) -> tuple[int, ...]:
 def commutator(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
     """[s, t] = s o t o s^-1 o t^-1."""
     return compose(compose(s, t), compose(inverse(s), inverse(t)))
+
+
+def three_cycle(s: Sequence[int], t: Sequence[int]) -> tuple[int, int, int] | None:
+    """(x, c(x), c(c(x))) for c = [s, t] when c is a 3-cycle, x its smallest point; else None.
+
+    The commutator is never built.  c = s t s^-1 t^-1 moves the point
+    t(u) exactly when t(s^-1(u)) != s^-1(t(u)), and then sends it to
+    s(t(s^-1(u))), so the moved points and their images are read off
+    s^-1 alone.  The scan stops at the fourth moved point.
+    """
+    if len(s) != len(t):
+        raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
+    s_inv = [0] * (len(s) + 1)
+    for x, y in enumerate(s, 1):
+        s_inv[y] = x
+    images = {}
+    for u, tu in enumerate(t, 1):
+        w = t[s_inv[u] - 1]
+        if w != s_inv[tu]:
+            if len(images) == 3:
+                return None
+            images[tu] = s[w - 1]
+    if len(images) != 3:
+        return None
+    x = min(images)
+    return x, images[x], images[images[x]]
 
 
 def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> Permutation:
@@ -164,22 +189,6 @@ def signature(s: Sequence[int]) -> int:
     return -1 if (n - cycles) % 2 else 1
 
 
-def s_distance(s: Sequence[int], x: int, y: int) -> int | float:
-    """The least d >= 1 with s^d(x) = y, or math.inf when x, y share no cycle.
-
-    In particular s_distance(s, x, x) is the length of the cycle through x,
-    and x, y share a cycle exactly when the value is finite.
-    """
-    if not (1 <= x <= len(s) and 1 <= y <= len(s)):
-        raise ValueError(f"points must lie in 1..{len(s)}")
-    cur = s[x - 1]
-    d = 1
-    while cur != y and cur != x:
-        cur = s[cur - 1]
-        d += 1
-    return d if cur == y else math.inf
-
-
 def conjugacy_class_size(flag: Iterable[int]) -> int:
     """The number of permutations in S_n with the given multiset of cycle lengths.
 
@@ -194,67 +203,3 @@ def conjugacy_class_size(flag: Iterable[int]) -> int:
     for length, mult in Counter(lengths).items():
         denom *= length**mult * factorial(mult)
     return factorial(n) // denom
-
-
-class CaseA(namedtuple("CaseA", "x y z segments")):
-    """All three commutator points lie in one cycle of s.
-
-    x is the smallest of the three points, the commutator maps z -> y ->
-    x -> z, and segments = (d(x,y), d(y,z), d(z,x)) are the s-distances
-    around the shared cycle; they sum to its length.
-    """
-
-    __slots__ = ()
-
-
-class CaseB(namedtuple("CaseB", "x y z short_length")):
-    """x and y share a cycle of s; z lies alone in a cycle of length d(y, x).
-
-    The commutator maps z -> y -> x -> z.  short_length is the length of
-    z's cycle, which equals the s-distance from y to x.
-    """
-
-    __slots__ = ()
-
-
-def classify_commutator(s: Sequence[int], t: Sequence[int]) -> CaseA | CaseB:
-    """Sort a pair whose commutator is a 3-cycle into one of two shapes.
-
-    Writing [s, t] = (z y x), either all three moved points lie in a
-    single cycle of s with d(x,y) + d(y,z) + d(z,x) equal to the cycle
-    length (CaseA), or two of them share a cycle and the third sits in a
-    cycle of length d(y, x) (CaseB).  Raises ValueError when [s, t] is
-    not a 3-cycle or the distance relations fail.
-    """
-    c = commutator(s, t)
-    moved = [p for p, q in enumerate(c, start=1) if q != p]
-    if len(moved) != 3:
-        raise ValueError("commutator is not a 3-cycle")
-
-    x = moved[0]
-    z = c[x - 1]
-    y = c[z - 1]
-    a = s_distance(s, x, y)
-    b = s_distance(s, y, z)
-    cc = s_distance(s, z, x)
-    if math.isfinite(a) and math.isfinite(b) and math.isfinite(cc):
-        if a + b + cc != s_distance(s, x, x):
-            raise ValueError("three points share a cycle but segments do not close up")
-        return CaseA(x, y, z, (int(a), int(b), int(cc)))
-
-    shared = [
-        (u, v)
-        for i, u in enumerate(moved)
-        for v in moved[i + 1 :]
-        if math.isfinite(s_distance(s, u, v))
-    ]
-    if len(shared) != 1:
-        raise ValueError("moved points do not form a one-cycle or two-cycle pattern")
-    lone = next(p for p in moved if p not in shared[0])
-    z = lone
-    y = c[z - 1]
-    x = c[y - 1]
-    k = s_distance(s, z, z)
-    if k != s_distance(s, y, x):
-        raise ValueError("lone point's cycle length does not match d(y, x)")
-    return CaseB(x, y, z, int(k))

@@ -179,6 +179,17 @@ def test_arithseq_is_an_immutable_value():
         ArithSeq((0,))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ArithSeq((0, 0.5, 1.5)),
+    lambda: ArithSeq.tabulate(lambda n: Fraction(n, 2), 3),
+    lambda: from_values([1.0, 2, 3]),
+], ids=["float", "fraction", "float-lead"])
+def test_arithseq_rejects_a_non_integer_value(make):
+    """A float lead 1.0 would pass dirichlet_inverse's f(1) = +-1 test, since 1.0 == 1."""
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_convolution_identity_chain():
     """The classical identities linking 1, mu, phi, J_k, tau and sigma_k."""
     assert dirichlet_convolve(ONE, ONE) == TAU

@@ -109,3 +109,18 @@ def test_the_command_exits_0_when_every_metric_stays_within_its_bound(bench_pair
                              *map(str, paths)])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1:] == []
+
+
+def test_without_a_claim_the_bounds_still_set_the_exit_code(bench_pairs, tmp_path, capsys):
+    paths = write_logs(tmp_path, "deep", {"parent": runs([1.0] * 3), "change": runs([1.3] * 3)})
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--out", str(out), *map(str, paths)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "deep wall_s: worse, +0.300 against a bound of 0.24"]
+    report = json.loads(out.read_text())
+    assert report["claim"] is None
+    assert statuses(report)[("deep", "wall_s")] == "worse"
+    paths = write_logs(tmp_path, "deep", {"parent": runs([1.0] * 3), "change": runs([1.0] * 3)})
+    assert bench_pairs.main(["--out", str(out), *map(str, paths)]) == 0
+    assert capsys.readouterr().out == ""

@@ -1,8 +1,8 @@
 """Cylinder builders and classifiers, primitivity criteria, twist and triple counts."""
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given
@@ -21,7 +21,8 @@ from permcensus.origami import (
     two_cylinder_primitive,
     twist_count,
 )
-from permcensus.arith import jordan_totient
+from permcensus.arith import jordan_totient, sigma_table
+from permcensus.census import _t_table
 from permcensus.perm import commutator, identity, parse_cycles
 
 
@@ -100,6 +101,30 @@ def test_two_cylinder_round_trip():
         recovered = classify_origami(*build_two_cylinder(params))
         assert recovered == params
         assert type(recovered) is type(params)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_classify_is_total_on_connected_pairs_with_a_three_cycle(n):
+    """Parameters exactly for the transitive pairs with a 3-cycle commutator, t(n) * n! of them.
+
+    Every other pair raises ValueError, and each result rebuilds to a pair
+    that classifies back to it.
+    """
+    perms = list(permutations(range(1, n + 1)))
+    classified = 0
+    for s in perms:
+        for t in perms:
+            c = commutator(s, t)
+            moved = sum(c[p - 1] != p for p in range(1, n + 1))
+            if moved != 3 or not is_transitive(generated(s, t)):
+                with pytest.raises(ValueError):
+                    classify_origami(s, t)
+                continue
+            params = classify_origami(s, t)
+            build = build_one_cylinder if isinstance(params, OneCylParams) else build_two_cylinder
+            assert classify_origami(*build(params)) == params
+            classified += 1
+    assert Fraction(classified, factorial(n)) == _t_table(sigma_table(n))[n]
 
 
 def test_classify_rejects_bad_input():

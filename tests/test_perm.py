@@ -1,7 +1,6 @@
-"""Permutation arithmetic, cycle data, distances and commutator shapes."""
+"""Permutation arithmetic, cycle data, commutators and their 3-cycles."""
 
 import itertools
-import math
 from math import factorial
 
 import pytest
@@ -10,10 +9,7 @@ from hypothesis import strategies as st
 
 from permcensus.partitions import enumerate_partitions
 from permcensus.perm import (
-    CaseA,
-    CaseB,
     Permutation,
-    classify_commutator,
     commutator,
     compose,
     conjugacy_class_size,
@@ -23,8 +19,8 @@ from permcensus.perm import (
     identity,
     inverse,
     parse_cycles,
-    s_distance,
     signature,
+    three_cycle,
 )
 
 
@@ -147,36 +143,6 @@ def test_signature_is_multiplicative(pair):
     assert signature(compose(s, t)) == signature(s) * signature(t)
 
 
-def test_s_distance_examples():
-    s = parse_cycles("(1 2 3 4)(7 8 9)", 9)
-    assert s_distance(s, 1, 4) == 3
-    assert s_distance(s, 1, 5) == math.inf
-    assert s_distance(s, 9, 9) == 3
-    assert s_distance(s, 5, 5) == 1
-    with pytest.raises(ValueError):
-        s_distance(s, 0, 1)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_distance_same_cycle_criterion(n):
-    """d(x,y) + d(y,x) = d(x,x) exactly when x and y share a cycle; else inf."""
-    for image in itertools.permutations(range(1, n + 1)):
-        s = Permutation(image)
-        cycle_of = {}
-        for index, cycle in enumerate(cycle_structure(s).cycles):
-            for x in cycle:
-                cycle_of[x] = index
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                forward = s_distance(s, x, y)
-                if cycle_of[x] != cycle_of[y]:
-                    assert forward == math.inf
-                    continue
-                assert math.isfinite(forward)
-                if x != y:
-                    assert forward + s_distance(s, y, x) == s_distance(s, x, x)
-
-
 def test_class_size_examples():
     assert conjugacy_class_size((1, 3)) == 8
     assert conjugacy_class_size((1, 1, 1, 1)) == 1
@@ -211,56 +177,29 @@ def test_conjugation_preserves_cycle_type(pair):
     assert cycle_structure(conjugate).flag == cycle_structure(s).flag
 
 
-def check_classification(s, t, case):
-    c = commutator(s, t)
-    x, y, z = case.x, case.y, case.z
-    assert sorted(p for p in range(1, len(c) + 1) if c[p - 1] != p) == sorted((x, y, z))
-    assert c[z - 1] == y and c[y - 1] == x and c[x - 1] == z
-    if isinstance(case, CaseA):
-        a, b, cc = case.segments
-        assert min(a, b, cc) >= 1
-        assert x == min(x, y, z)
-        length = s_distance(s, x, x)
-        assert a + b + cc == length
-        assert s_distance(s, x, y) == a
-        assert s_distance(s, y, z) == b
-        assert s_distance(s, z, x) == cc
-    else:
-        assert isinstance(case, CaseB)
-        assert s_distance(s, z, z) == case.short_length
-        assert s_distance(s, y, x) == case.short_length
-        assert s_distance(s, z, x) == math.inf
-        assert s_distance(s, z, y) == math.inf
-        assert math.isfinite(s_distance(s, x, y))
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_classifier_is_total_and_exclusive(n):
-    """Every pair with a 3-cycle commutator lands in exactly one case."""
-    perms = [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
-    classified = 0
+@pytest.mark.parametrize("n", range(3, 6))
+def test_three_cycle_matches_the_commutator(n):
+    """None exactly when [s, t] moves other than three points; else its cycle, smallest first."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    found = 0
     for s in perms:
         for t in perms:
             c = commutator(s, t)
-            moved = sum(1 for p in range(1, n + 1) if c[p - 1] != p)
-            if moved == 3:
-                check_classification(s, t, classify_commutator(s, t))
-                classified += 1
-            else:
-                with pytest.raises(ValueError):
-                    classify_commutator(s, t)
-    assert classified > 0
+            moved = [p for p in range(1, n + 1) if c[p - 1] != p]
+            got = three_cycle(s, t)
+            if len(moved) != 3:
+                assert got is None
+                continue
+            x = moved[0]
+            assert got == (x, c[x - 1], c[c[x - 1] - 1])
+            found += 1
+    assert found > 0
 
 
-def test_classifier_examples():
+def test_three_cycle_examples():
     s = parse_cycles("(1 2 3)", 3)
-    case = classify_commutator(s, parse_cycles("(1 2)", 3))
-    assert isinstance(case, CaseA)
-    assert case.segments == (1, 1, 1)
-
+    assert three_cycle(s, parse_cycles("(1 2)", 3)) == (1, 3, 2)
     s = parse_cycles("(1 2)(3 4 5)", 5)
-    t = parse_cycles("(1 3)(2 4)", 5)
-    case = classify_commutator(s, t)
-    c = commutator(s, t)
-    assert isinstance(case, (CaseA, CaseB))
-    assert {case.x, case.y, case.z} == {p for p in range(1, 6) if c[p - 1] != p}
+    assert three_cycle(s, parse_cycles("(1 3)(2 4)", 5)) == (1, 3, 5)
+    with pytest.raises(ValueError):
+        three_cycle(identity(3), identity(4))

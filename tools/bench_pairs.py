@@ -1,6 +1,6 @@
 """Build a BENCH_*.json from paired runs of perfbench/run.py on two checkouts.
 
-    python3 tools/bench_pairs.py --out BENCH_<label>.json --claim verify-deep:wall_s LOGDIR/*.jsonl
+    python3 tools/bench_pairs.py --out BENCH_<label>.json [--claim verify-deep:wall_s] LOGDIR/*.jsonl
 
 Each log is the stdout of one ``perfbench/run.py --trace 0`` run, saved as
 ``<workload>.<seed>.<side>.jsonl`` with side ``parent`` or ``change``.  A
@@ -21,7 +21,7 @@ and quartiles, the ratio of the medians (change over parent) and the number of
 pairs the change reads lower.  For the claimed workload and metric it records
 whether the gain holds: the change lower in at least nine tenths of the pairs,
 and the medians apart by more than the distance between the parent's
-quartiles.
+quartiles.  Without --claim the report's "claim" is null.
 
 It also checks every end-to-end metric of the repo's BENCHMARK.json on every
 workload against the metric's bound, a relative change: a metric got worse
@@ -87,7 +87,7 @@ def check_bounds(workloads: dict) -> list[dict]:
     return checks
 
 
-def build(paths: list[Path], claim: tuple[str, str]) -> dict:
+def build(paths: list[Path], claim: tuple[str, str] | None = None) -> dict:
     runs: dict[str, dict[int, dict[str, tuple[dict, dict, float]]]] = {}
     for path in paths:
         workload, seed, side = path.name.removesuffix(".jsonl").rsplit(".", 2)
@@ -124,36 +124,42 @@ def build(paths: list[Path], claim: tuple[str, str]) -> dict:
             metrics[name]["change_over_parent"] = (metrics[name]["change"]["median"]
                                                    / metrics[name]["parent"]["median"])
         workloads[workload] = {"seeds": sorted(by_seed), "pairs": pairs, "metrics": metrics}
-    workload, name = claim
-    got = workloads[workload]["metrics"][name]
-    gap = got["parent"]["median"] - got["change"]["median"]
-    parent_iqr = got["parent"]["q3"] - got["parent"]["q1"]
     return {
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 40",
         "host": [json.loads(h) for h in sorted(hosts)],
         "revisions": revisions,
-        "claim": {"workload": workload, "metric": name, "median_gap": gap,
-                  "parent_quartile_distance": parent_iqr,
-                  "change_lower_in": got["change_lower_in"], "pairs": got["pairs"],
-                  "holds": 10 * got["change_lower_in"] >= 9 * got["pairs"] and gap > parent_iqr},
+        "claim": claim and check_claim(workloads, *claim),
         "bounds": check_bounds(workloads),
         "workloads": workloads,
     }
 
 
+def check_claim(workloads: dict, workload: str, name: str) -> dict:
+    """Whether the change's gain on one workload and metric holds."""
+    got = workloads[workload]["metrics"][name]
+    gap = got["parent"]["median"] - got["change"]["median"]
+    parent_iqr = got["parent"]["q3"] - got["parent"]["q1"]
+    return {"workload": workload, "metric": name, "median_gap": gap,
+            "parent_quartile_distance": parent_iqr,
+            "change_lower_in": got["change_lower_in"], "pairs": got["pairs"],
+            "holds": 10 * got["change_lower_in"] >= 9 * got["pairs"] and gap > parent_iqr}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("logs", nargs="+", type=Path)
     args = parser.parse_args(argv)
-    report = build(args.logs, tuple(args.claim.split(":", 1)))
+    report = build(args.logs, args.claim and tuple(args.claim.split(":", 1)))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     claim = report["claim"]
-    print(f"{claim['workload']} {claim['metric']}: change lower in {claim['change_lower_in']} "
-          f"of {claim['pairs']} pairs, median gap {claim['median_gap']:.4f} against parent "
-          f"quartile distance {claim['parent_quartile_distance']:.4f}: "
-          f"{'holds' if claim['holds'] else 'does not hold'}")
+    if claim:
+        print(f"{claim['workload']} {claim['metric']}: change lower in "
+              f"{claim['change_lower_in']} of {claim['pairs']} pairs, median gap "
+              f"{claim['median_gap']:.4f} against parent quartile distance "
+              f"{claim['parent_quartile_distance']:.4f}: "
+              f"{'holds' if claim['holds'] else 'does not hold'}")
     flagged = [check for check in report["bounds"] if check["status"] != "within"]
     for check in flagged:
         if check["metric"] == "failed_share":

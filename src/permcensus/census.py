@@ -16,6 +16,15 @@ paper's (3/8) [sigma_3 * P - 2 (k sigma) * P + n P(n)] reduces to it by
 n P(n) = sum_k sigma(k) P(n - k).  The golden census file, the digest of
 `census --to 5000` and the brute-force oracle check it.
 
+rows(layout, degrees) yields the census rows of one layout, with the
+columns COLUMNS[layout]; counts are integers and ratios exact Fractions:
+
+  main    n  a  b  proba                   proba = P(n) a / (n b)
+  cycles  n  a1 b1 proba1 a2 b2 proba2     proba1 = a1/b1, proba2 = n a2/b2
+
+Each row computes only the counts its layout prints.  limit_diagnostics
+reads its p1, p2 and pa values off these ratio columns.
+
 All formulas are exact integer arithmetic with explicit divisibility
 checks; a non-integer intermediate would indicate a programming error,
 never rounding.
@@ -203,14 +212,39 @@ def census_row(n: int) -> CensusRow:
     )
 
 
-class DiagnosticPoint(namedtuple("DiagnosticPoint", "n exact")):
-    """One sampled value of a probability diagnostic, exact plus rendered."""
+# The census layouts and their column names.
+COLUMNS = {
+    "main": ("n", "a", "b", "proba"),
+    "cycles": ("n", "a1", "b1", "proba1", "a2", "b2", "proba2"),
+}
 
-    __slots__ = ()
 
-    @property
-    def decimal(self) -> str:
-        return significant_digits(self.exact)
+def rows(layout: str, degrees):
+    """Yield the row of layout at each degree of degrees (a range or a list), in order.
+
+    Each row is computed when it is asked for.  A main run builds the
+    tables for the largest degree once; a cycles run builds none.  An
+    unknown layout raises ValueError when iteration starts.
+    """
+    if layout == "main":
+        tables = build_tables(max(degrees, default=0))
+        for n in degrees:
+            a, b = count_a(n), count_b(n, tables)
+            yield n, a, b, Fraction(tables.p[n] * a, n * b)
+    elif layout == "cycles":
+        for n in degrees:
+            a1, b1 = count_a1(n), count_b1(n)
+            a2, b2 = count_a2(n), count_b2(n)
+            yield n, a1, b1, Fraction(a1, b1), a2, b2, Fraction(n * a2, b2)
+    else:
+        raise ValueError(f"unknown layout {layout!r}; expected one of {', '.join(COLUMNS)}")
+
+
+# One sampled value of a probability diagnostic: the degree and the exact ratio.
+DiagnosticPoint = namedtuple("DiagnosticPoint", "n exact")
+
+# The layout and ratio column of rows() that each diagnostic reads.
+_DIAGNOSTICS = {"p1": ("cycles", "proba1"), "p2": ("cycles", "proba2"), "pa": ("main", "proba")}
 
 
 def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
@@ -221,21 +255,11 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
     around 24/pi^2); kind "pa" is P(n)*a/(n*b), the generating
     probability rescaled by its decay rate.
     """
-    if kind not in ("p1", "p2", "pa"):
+    if kind not in _DIAGNOSTICS:
         raise ValueError(f"unknown diagnostic {kind!r}; expected p1, p2 or pa")
-    degrees = list(degrees)
-    tables = build_tables(max(degrees, default=0)) if kind == "pa" else None
-    out = []
-    for n in degrees:
-        _check_degree(n)
-        if kind == "p1":
-            exact = Fraction(count_a1(n), count_b1(n))
-        elif kind == "p2":
-            exact = Fraction(n * count_a2(n), count_b2(n))
-        else:
-            exact = Fraction(tables.p[n] * count_a(n), n * count_b(n, tables))
-        out.append(DiagnosticPoint(n, exact))
-    return out
+    layout, column = _DIAGNOSTICS[kind]
+    i = COLUMNS[layout].index(column)
+    return [DiagnosticPoint(row[0], row[i]) for row in rows(layout, list(degrees))]
 
 
 class BoundReport(namedtuple("BoundReport", "n_max epsilon strict_failures epsilon_failures")):

@@ -1,15 +1,10 @@
-"""Command-line interface: the argument parser and the census tables.
+"""Command-line interface: the argument parser, and the census rows rendered and written.
 
-Census rows reproduce the two classical report layouts:
-
-  main    n  a  b  proba      proba = P(n) a / (n b)
-  cycles  n  a1 b1 proba1 a2 b2 proba2
-                             proba1 = a1/b1, proba2 = n a2/b2
-
-Counts are exact integers; probabilities carry six significant digits.
-Each row computes only the counts its layout prints, and is written as
-soon as it is computed, so `census --to 10000 | head -1` does not wait
-for the rest of the range.
+census.rows computes each row of a layout (census.COLUMNS names its
+columns); this module renders its exact ratios with six significant
+digits, as plain, csv or jsonl lines.  Each row is written as soon as it
+is computed, so `census --to 10000 | head -1` does not wait for the rest
+of the range.
 Exit codes: 0 success, 1 verification failure or failed write, 2 usage
 error.
 
@@ -24,7 +19,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 
 from permcensus import census
 from permcensus.census import significant_digits
@@ -35,52 +29,21 @@ DEFAULT_TO = 255
 SUITE_NAMES = ("formulas", "identities", "origami", "characters", "bounds")
 
 
-def _census_main_row(n: int, tables: census.Tables) -> tuple:
-    a, b = census.count_a(n), census.count_b(n, tables)
-    proba = Fraction(tables.p[n] * a, n * b)
-    return (n, a, b, significant_digits(proba))
-
-
-def _census_cycles_row(n: int) -> tuple:
-    a1, b1 = census.count_a1(n), census.count_b1(n)
-    a2, b2 = census.count_a2(n), census.count_b2(n)
-    return (
-        n,
-        a1,
-        b1,
-        significant_digits(Fraction(a1, b1)),
-        a2,
-        b2,
-        significant_digits(Fraction(n * a2, b2)),
-    )
-
-
-_HEADERS = {
-    "main": ("n", "a", "b", "proba"),
-    "cycles": ("n", "a1", "b1", "proba1", "a2", "b2", "proba2"),
-}
-
-
 def cmd_census(args) -> int:
     if args.start < 3 or args.start > args.stop:
         print(f"census: need 3 <= --from <= --to, got {args.start}..{args.stop}",
               file=sys.stderr)
         return 2
-    if args.family == "main":
-        row_fn = partial(_census_main_row, tables=census.build_tables(args.stop))
-    else:
-        row_fn = _census_cycles_row
-
-    header = _HEADERS[args.family]
+    header = census.COLUMNS[args.family]
     if args.format == "jsonl":
         import json
 
-        def render(row: tuple) -> str:
+        def render(row: list) -> str:
             return json.dumps(dict(zip(header, row)), separators=(",", ":"))
     else:
         sep = "," if args.format == "csv" else " "
 
-        def render(row: tuple) -> str:
+        def render(row: list) -> str:
             return sep.join(map(str, row))
 
     # Each row goes to stdout as soon as it is computed; stdout's own
@@ -88,8 +51,9 @@ def cmd_census(args) -> int:
     out = sys.stdout
     if args.format == "csv":
         out.write(",".join(header) + "\n")
-    for n in range(args.start, args.stop + 1):
-        out.write(render(row_fn(n)) + "\n")
+    for row in census.rows(args.family, range(args.start, args.stop + 1)):
+        cells = [significant_digits(x) if isinstance(x, Fraction) else x for x in row]
+        out.write(render(cells) + "\n")
     return 0
 
 
@@ -130,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"first degree (default {DEFAULT_FROM})")
     cen.add_argument("--to", dest="stop", type=int, default=DEFAULT_TO,
                      help=f"last degree (default {DEFAULT_TO})")
-    cen.add_argument("--family", choices=("main", "cycles"), default="main",
+    cen.add_argument("--family", choices=tuple(census.COLUMNS), default="main",
                      help="main: all pairs; cycles: n-cycle and any-cycle families")
     cen.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
     cen.add_argument("--threads", type=_thread_count,

@@ -2,11 +2,12 @@
 
 Everything here is deliberately independent of the formulas: pairs are
 enumerated, commutators computed pointwise, and generation tested via
-the group machinery.  Degrees run 3..8; n = 8 (40320 candidates t for
-each of 22 cycle types of s) must be requested explicitly.
+the group machinery.  Degrees run 3..8; n = 8 takes 40320 candidates t
+for each of 22 cycle types of s (the command line asks for an opt-in
+before it runs that degree).
 
-brute_count is the plain reference: it tests each pair (s, t) with a
-pointwise loop.  brute_counts, which verify runs, scans the commutators
+brute_count is the plain reference: it tests each pair (s, t) with
+perm.three_cycle.  brute_counts, which verify runs, scans the commutators
 of one s with every t at once.  It keeps the image column of each point
 over all of S_n as a byte string, one byte per t holding a 0-based image,
 and counts the points each commutator moves in one byte per t with
@@ -26,7 +27,7 @@ from math import gcd
 
 from permcensus import groups
 from permcensus.partitions import enumerate_partitions
-from permcensus.perm import conjugacy_class_size, cycle_structure, inverse
+from permcensus.perm import conjugacy_class_size, cycle_structure, inverse, three_cycle
 
 FAMILIES = ("B", "A", "B1", "A1", "B2", "A2")
 _GENERATING = ("A", "A1", "A2")
@@ -46,23 +47,9 @@ def _rep_from_flag(flag: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(img)
 
 
-def _commutator_moves_three(s: tuple[int, ...], s_inv: tuple[int, ...],
-                            t: tuple[int, ...], t_inv: tuple[int, ...]) -> bool:
-    """Whether s t s^-1 t^-1 moves exactly three points."""
-    moved = 0
-    for x in range(len(s)):
-        if s[t[s_inv[t_inv[x] - 1] - 1] - 1] != x + 1:
-            moved += 1
-            if moved > 3:
-                return False
-    return moved == 3
-
-
-def _check_degree(n: int, allow_n8: bool) -> None:
+def _check_degree(n: int) -> None:
     if not 3 <= n <= _MAX_DEGREE:
         raise ValueError(f"degree must lie in 3..{_MAX_DEGREE}, got {n}")
-    if n == _MAX_DEGREE and not allow_n8:
-        raise ValueError("degree 8 is expensive; pass allow_n8=True to run it")
 
 
 def _s_filter(family: str, flag: tuple[int, ...]) -> bool:
@@ -74,7 +61,7 @@ def _s_filter(family: str, flag: tuple[int, ...]) -> bool:
     return True
 
 
-def brute_count(n: int, family: str, *, full: bool = False, allow_n8: bool = False) -> int:
+def brute_count(n: int, family: str, *, full: bool = False) -> int:
     """The exact number of ordered pairs (s, t) in S_n x S_n in the family.
 
     Families: "B" commutator is a 3-cycle; "B1"/"B2" additionally s is an
@@ -88,7 +75,7 @@ def brute_count(n: int, family: str, *, full: bool = False, allow_n8: bool = Fal
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    _check_degree(n, allow_n8)
+    _check_degree(n)
     if full and n > _MAX_FULL_DEGREE:
         raise ValueError(f"full double loop is limited to n <= {_MAX_FULL_DEGREE}")
 
@@ -96,10 +83,9 @@ def brute_count(n: int, family: str, *, full: bool = False, allow_n8: bool = Fal
     points = tuple(range(1, n + 1))
 
     def count_t_loop(s_img: tuple[int, ...]) -> int:
-        s_inv = inverse(s_img)
         hits = 0
         for t_img in all_images(points):
-            if not _commutator_moves_three(s_img, s_inv, t_img, inverse(t_img)):
+            if three_cycle(s_img, t_img) is None:
                 continue
             if need_generation and groups.generates_alt_or_sym(s_img, t_img) == groups.NEITHER:
                 continue
@@ -118,7 +104,7 @@ def brute_count(n: int, family: str, *, full: bool = False, allow_n8: bool = Fal
     return total
 
 
-def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
+def brute_counts(n: int) -> dict[str, int]:
     """brute_count(n, family) for every family, from one pass over the pairs.
 
     The outer loop visits one representative s per cycle type, weighted by
@@ -147,7 +133,7 @@ def brute_counts(n: int, *, allow_n8: bool = False) -> dict[str, int]:
     must itself be a hit; one that is not raises RuntimeError, since that
     would be a bug in the scan or in the coset.
     """
-    _check_degree(n, allow_n8)
+    _check_degree(n)
     images = [bytes(image) for image in all_images(range(n))]
     index = {image: i for i, image in enumerate(images)}
     columns = [bytes(column) for column in zip(*images)]

@@ -184,9 +184,7 @@ def classify_origami(s: Sequence[int], t: Sequence[int]) -> OneCylParams | TwoCy
     k = len(where[z][0])
     if k != steps(y, x):
         raise ValueError("lone point's cycle length does not match steps(y, x)")
-    ell = len(where[x][0])
-    if k >= ell:
-        raise ValueError("two-cylinder shape needs the lone cycle strictly shorter")
+    ell = len(where[x][0])  # k = steps(y, x) with y != x, so 1 <= k < ell
     a = lengths.count(k)
     b = lengths.count(ell)
     if a + b != len(lengths):

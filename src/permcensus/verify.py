@@ -29,7 +29,7 @@ def _check(failures: list[str], label: str, ok: bool) -> None:
         failures.append(label)
 
 
-def _suite_formulas(max_n: int, allow_n8: bool) -> list[str]:
+def _suite_formulas(max_n: int) -> list[str]:
     """Closed formulas vs brute-force enumeration, every family, 3..max_n."""
     failures: list[str] = []
     formulas = {
@@ -42,7 +42,7 @@ def _suite_formulas(max_n: int, allow_n8: bool) -> list[str]:
     }
     for n in range(3, max_n + 1):
         fact = factorial(n)
-        counts = oracle.brute_counts(n, allow_n8=allow_n8)
+        counts = oracle.brute_counts(n)
         for family, formula in formulas.items():
             brute = counts[family]
             if brute % fact:
@@ -53,7 +53,7 @@ def _suite_formulas(max_n: int, allow_n8: bool) -> list[str]:
     return failures
 
 
-def _suite_identities(max_n: int, allow_n8: bool) -> list[str]:
+def _suite_identities(max_n: int) -> list[str]:
     """Convolution identity chains, inverse pairs, and closed-form checks."""
     failures: list[str] = []
     bound = 500
@@ -135,7 +135,7 @@ def _is_euler_product(value: Fraction, n: int, k: int) -> bool:
     return value.numerator * prod(powers) == prod(pk - 1 for pk in powers) * value.denominator
 
 
-def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
+def _suite_origami(max_n: int) -> list[str]:
     """Build/classify round trips and primitivity criterion agreement."""
     failures: list[str] = []
     one_trip = one_primitive = True
@@ -181,7 +181,7 @@ def _suite_origami(max_n: int, allow_n8: bool) -> list[str]:
     return failures
 
 
-def _suite_characters(max_n: int, allow_n8: bool) -> list[str]:
+def _suite_characters(max_n: int) -> list[str]:
     """Character-based pair counts against the closed-form counts."""
     failures: list[str] = []
     for n in range(3, max_n + 1):
@@ -201,7 +201,7 @@ def _suite_characters(max_n: int, allow_n8: bool) -> list[str]:
     return failures
 
 
-def _suite_bounds(max_n: int, allow_n8: bool) -> list[str]:
+def _suite_bounds(max_n: int) -> list[str]:
     """Inequality sweeps: psi sandwich, count bounds, divisor-sum bounds."""
     failures: list[str] = []
     report = census.bound_report(500)
@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
     for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order
         print(f"running suite {name} ...", file=sys.stderr)
         start = time.perf_counter()
-        failures = _SUITES[name](args.max_n, args.allow_n8)
+        failures = _SUITES[name](args.max_n)
         print(f"suite {name} took {time.perf_counter() - start:.3f} s", file=sys.stderr)
         results[name] = failures
         status = "ok" if not failures else f"{len(failures)} failure(s)"

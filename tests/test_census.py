@@ -22,6 +22,7 @@ from permcensus.census import (
     count_b2,
     limit_diagnostics,
     psi,
+    rows,
     significant_digits,
 )
 from permcensus.partitions import partition_count, partition_table
@@ -178,6 +179,49 @@ def test_limit_diagnostics_pa():
 def test_limit_diagnostics_rejects_an_unknown_kind_before_any_degree(degrees):
     with pytest.raises(ValueError, match="unknown diagnostic"):
         limit_diagnostics("p3", degrees)
+
+
+COMPOSITE_DEGREES = [4, 6, 12, 30, 60, 210, 2310]
+
+
+def test_main_rows_hold_the_counts_and_the_generating_ratio():
+    got = list(rows("main", COMPOSITE_DEGREES))
+    assert [row[0] for row in got] == COMPOSITE_DEGREES
+    for n, a, b, proba in got:
+        assert (a, b) == (count_a(n), count_b(n))
+        assert type(proba) is Fraction
+        assert proba == Fraction(partition_count(n) * a, n * b)
+
+
+def test_cycles_rows_hold_the_counts_and_both_ratios():
+    got = list(rows("cycles", COMPOSITE_DEGREES))
+    assert [row[0] for row in got] == COMPOSITE_DEGREES
+    for n, a1, b1, proba1, a2, b2, proba2 in got:
+        assert (a1, b1, a2, b2) == (count_a1(n), count_b1(n), count_a2(n), count_b2(n))
+        assert type(proba1) is Fraction and type(proba2) is Fraction
+        assert proba1 == Fraction(a1, b1) == census_row(n).p1
+        assert proba2 == Fraction(n * a2, b2) == n * census_row(n).p2
+
+
+def test_rows_match_their_column_names():
+    for layout, header in census.COLUMNS.items():
+        assert all(len(row) == len(header) for row in rows(layout, range(3, 20)))
+    assert list(rows("main", [])) == list(rows("cycles", [])) == []
+
+
+@pytest.mark.parametrize("kind, layout, column",
+                         [("p1", "cycles", "proba1"), ("p2", "cycles", "proba2"),
+                          ("pa", "main", "proba")])
+def test_limit_diagnostics_read_the_matching_rows_column(kind, layout, column):
+    i = census.COLUMNS[layout].index(column)
+    want = [(row[0], row[i]) for row in rows(layout, COMPOSITE_DEGREES)]
+    assert [tuple(point) for point in limit_diagnostics(kind, COMPOSITE_DEGREES)] == want
+
+
+@pytest.mark.parametrize("degrees", [[], [3]])
+def test_rows_reject_an_unknown_layout(degrees):
+    with pytest.raises(ValueError, match="unknown layout"):
+        next(rows("orbits", degrees))
 
 
 def test_raw_generating_ratio_decreases_on_grid():

@@ -73,6 +73,14 @@ def test_census_jsonl(capsys):
     assert records[1]["n"] == 6 and records[1]["b"] == 99
 
 
+def test_family_choices_are_the_census_layouts():
+    from permcensus import census
+
+    census_parser = build_parser()._subparsers._group_actions[0].choices["census"]
+    family = next(a for a in census_parser._actions if a.dest == "family")
+    assert family.choices == tuple(census.COLUMNS)
+
+
 def test_census_range_validation(capsys):
     code, _, err = run_cli(capsys, "census", "--from", "2", "--to", "5")
     assert code == 2

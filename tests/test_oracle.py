@@ -9,7 +9,6 @@ from permcensus import groups, oracle
 from permcensus.census import census_row
 from permcensus.oracle import (
     FAMILIES,
-    _commutator_moves_three,
     _double_coset,
     _powers,
     _rep_from_flag,
@@ -19,7 +18,7 @@ from permcensus.oracle import (
     brute_twist_count,
 )
 from permcensus.partitions import enumerate_partitions
-from permcensus.perm import compose, inverse
+from permcensus.perm import compose, three_cycle
 
 
 def formula_value(n, family):
@@ -61,19 +60,18 @@ def test_single_pass_matches_per_family_counts(n):
 def double_cosets_of_hits(n):
     """The number of double cosets <s> t <s> of 3-cycle hits, over every class representative s.
 
-    Built from plain tuple compositions and the per-pair commutator test,
+    Built from plain tuple compositions and perm.three_cycle on each pair,
     independently of the byte columns of brute_counts.
     """
     total = 0
     for flag in enumerate_partitions(n):
         s = _rep_from_flag(tuple(flag), n)
-        s_inv = inverse(s)
         powers = [tuple(range(1, n + 1))]
         while compose(s, powers[-1]) != powers[0]:
             powers.append(compose(s, powers[-1]))
         labelled = set()
         for t in permutations(range(1, n + 1)):
-            if t in labelled or not _commutator_moves_three(s, s_inv, t, inverse(t)):
+            if t in labelled or three_cycle(s, t) is None:
                 continue
             total += 1
             labelled.update(compose(compose(a, t), b) for a in powers for b in powers)
@@ -119,9 +117,8 @@ def hits_by_representative(n):
     """Each class representative s with its 3-cycle hits t, both as 0-based bytes."""
     for flag in enumerate_partitions(n):
         s = _rep_from_flag(tuple(flag), n)
-        s_inv = inverse(s)
         hits = [bytes(x - 1 for x in t) for t in permutations(range(1, n + 1))
-                if _commutator_moves_three(s, s_inv, t, inverse(t))]
+                if three_cycle(s, t) is not None]
         yield bytes(x - 1 for x in s), hits
 
 
@@ -149,7 +146,7 @@ def test_a_walk_that_leaves_the_double_coset_trips_the_self_check(monkeypatch):
 
 
 def test_single_pass_matches_formulas_at_eight():
-    counts = brute_counts(8, allow_n8=True)
+    counts = brute_counts(8)
     assert counts == {family: formula_value(8, family) * factorial(8) for family in FAMILIES}
 
 
@@ -158,8 +155,6 @@ def test_single_pass_argument_validation():
         brute_counts(2)
     with pytest.raises(ValueError):
         brute_counts(9)
-    with pytest.raises(ValueError):
-        brute_counts(8)  # needs allow_n8=True
 
 
 def test_argument_validation():
@@ -169,8 +164,6 @@ def test_argument_validation():
         brute_count(2, "B")
     with pytest.raises(ValueError):
         brute_count(9, "B")
-    with pytest.raises(ValueError):
-        brute_count(8, "B")  # needs allow_n8=True
     with pytest.raises(ValueError):
         brute_count(7, "B", full=True)
 

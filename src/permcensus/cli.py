@@ -59,14 +59,6 @@ def cmd_census(args) -> int:
 
 def _cmd_verify(args) -> int:
     # Usage errors are reported before the suites' modules are loaded.
-    unknown = [name for name in args.suites if name not in SUITE_NAMES]
-    if unknown:
-        print(f"verify: unknown suite(s) {', '.join(unknown)}; "
-              f"choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
-        return 2
-    if not 3 <= args.max_n <= 8:
-        print(f"verify: --max-n must lie in 3..8, got {args.max_n}", file=sys.stderr)
-        return 2
     if args.max_n == 8 and not args.allow_n8:
         print("verify: --max-n 8 needs --allow-n8", file=sys.stderr)
         return 2
@@ -105,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     cen.set_defaults(func=cmd_census)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--suites", nargs="+", default=list(SUITE_NAMES),
-                     metavar="SUITE",
+    ver.add_argument("--suites", nargs="+", choices=SUITE_NAMES,
+                     default=list(SUITE_NAMES), metavar="SUITE",
                      help=f"subset of: {', '.join(SUITE_NAMES)}")
-    ver.add_argument("--max-n", dest="max_n", type=int, default=5,
-                     help="largest degree for brute-force suites (3..8, default 5)")
+    ver.add_argument("--max-n", dest="max_n", type=int, choices=range(3, 9), default=5,
+                     help="largest degree for brute-force suites (default 5)")
     ver.add_argument("--allow-n8", action="store_true",
                      help="permit the degree-8 enumeration (it roughly doubles "
                           "the time of --max-n 7)")
@@ -133,6 +125,9 @@ def _thread_count(text: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # started with stdout closed (`permcensus census >&-`)
+        print("permcensus: cannot write output: stdout is closed", file=sys.stderr)
+        return 1
     try:
         code = args.func(args)
         sys.stdout.flush()  # a write error surfaces here, not at exit

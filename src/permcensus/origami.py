@@ -10,6 +10,7 @@ exactly two ways:
 * two cylinders of widths k < l and heights a, b, glued along three
   marked segments and rotated against each other by twists alpha, beta.
 
+diagrams(n) lists the parameters of every shape with n squares.
 Builders produce a canonical numbering (each row a consecutive block,
 bottom to top), classify_origami inverts them from the 3-cycle that
 perm.three_cycle reads and one index of the s-cycles, and the
@@ -19,7 +20,7 @@ primitivity predicates decide when the surface is not a proper cover.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from math import gcd
 
 from permcensus import groups
@@ -61,6 +62,26 @@ class TwoCylParams(namedtuple("TwoCylParams", "a b k ell alpha beta")):
     @property
     def n(self) -> int:
         return self.a * self.k + self.b * self.ell
+
+
+def diagrams(n: int) -> Iterator[OneCylParams | TwoCylParams]:
+    """Every cylinder diagram with n squares: the one-cylinder ones, then the two-cylinder ones."""
+    for k in range(1, n // 3 + 1):
+        if n % k:
+            continue
+        m = n // k
+        for a in range(1, m - 1):
+            for b in range(1, m - a):
+                yield OneCylParams(k, a, b, m - a - b)
+    for ell in range(2, n):
+        for k in range(1, ell):
+            for b in range(1, (n - k) // ell + 1):
+                a, rest = divmod(n - b * ell, k)  # n - b*ell >= k, so a >= 1
+                if rest:
+                    continue
+                for alpha in range(k):
+                    for beta in range(ell):
+                        yield TwoCylParams(a, b, k, ell, alpha, beta)
 
 
 def build_one_cylinder(params: OneCylParams) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """The `verify` subcommand: independent checks of the closed forms.
 
-Each suite returns the labels of its failed checks (empty when all hold):
+Each suite yields a (label, passed) pair per check; cmd_verify collects
+the failed labels, times each suite and prints:
 
   formulas    closed forms vs brute-force enumeration, every family, 3..--max-n
   identities  Dirichlet convolution chains, inverses, Euler products and the
@@ -18,20 +19,18 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial, gcd, prod
 
 from permcensus import arith, census, characters, groups, oracle, origami, partitions
 
 
-def _check(failures: list[str], label: str, ok: bool) -> None:
-    if not ok:
-        failures.append(label)
+_Checks = Iterator[tuple[str, bool]]
 
 
-def _suite_formulas(max_n: int) -> list[str]:
+def _suite_formulas(max_n: int) -> _Checks:
     """Closed formulas vs brute-force enumeration, every family, 3..max_n."""
-    failures: list[str] = []
     formulas = {
         "B": census.count_b,
         "A": census.count_a,
@@ -46,16 +45,13 @@ def _suite_formulas(max_n: int) -> list[str]:
         for family, formula in formulas.items():
             brute = counts[family]
             if brute % fact:
-                failures.append(f"{family}({n}) brute count not divisible by n!")
+                yield f"{family}({n}) brute count not divisible by n!", False
                 continue
-            _check(failures, f"{family}({n}) formula vs oracle",
-                   formula(n) == brute // fact)
-    return failures
+            yield f"{family}({n}) formula vs oracle", formula(n) == brute // fact
 
 
-def _suite_identities(max_n: int) -> list[str]:
+def _suite_identities(max_n: int) -> _Checks:
     """Convolution identity chains, inverse pairs, and closed-form checks."""
-    failures: list[str] = []
     bound = 500
     seqs = {
         "one": arith.ArithSeq.tabulate(lambda n: 1, bound),
@@ -85,22 +81,19 @@ def _suite_identities(max_n: int) -> list[str]:
         ("tau*phi = sigma1", conv(seqs["tau"], seqs["phi"]), seqs["sigma1"]),
     ]
     for label, got, want in chains:
-        _check(failures, label, got.values == want.values)
+        yield label, got.values == want.values
     inv_sigma = arith.dirichlet_inverse(seqs["sigma1"])
     back = conv(seqs["sigma1"], inv_sigma)
-    _check(failures, "sigma1 * inverse(sigma1) = eps", back.values == seqs["eps"].values)
-    _check(
-        failures,
-        "moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
-        all(_is_euler_product(arith.moebius_scaled_divisor_sum(n, k), n, k)
-            for n in range(1, 501) for k in (0, 1, 2)),
-    )
+    yield "sigma1 * inverse(sigma1) = eps", back.values == seqs["eps"].values
+    yield ("moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
+           all(_is_euler_product(arith.moebius_scaled_divisor_sum(n, k), n, k)
+               for n in range(1, 501) for k in (0, 1, 2)))
     # Each additive convolution sum over 0 < k < n, for every n in the range,
     # is one coefficient of a single series product (slot 0 of sigma is 0).
     ram_bound = 5000
     sig1, sig3, sig5 = (arith.sigma_table(ram_bound, k) for k in (1, 3, 5))
     for order, other in (("deg1", sig1), ("deg3", sig3)):
-        _check(failures, f"sigma convolution closed form {order} (n <= {ram_bound})",
+        yield (f"sigma convolution closed form {order} (n <= {ram_bound})",
                _matches_ramanujan(arith.series_product(sig1, other), order, sig1, sig3, sig5))
     # With P(0) = 1 the product's coefficient n also holds the k = n term
     # sigma(n), so sum_{0<k<n} sigma(k) P(n-k) = n P(n) - sigma(n) reads
@@ -108,9 +101,8 @@ def _suite_identities(max_n: int) -> list[str]:
     part_bound = 2000
     table = partitions.partition_table(part_bound)
     conv = arith.series_product(sig1[: part_bound + 1], table)
-    _check(failures, f"partition convolution identity (n <= {part_bound})",
+    yield (f"partition convolution identity (n <= {part_bound})",
            all(conv[n] == n * table[n] for n in range(1, part_bound + 1)))
-    return failures
 
 
 def _matches_ramanujan(conv: list[int], order: str, sig1: list[int], sig3: list[int],
@@ -135,78 +127,56 @@ def _is_euler_product(value: Fraction, n: int, k: int) -> bool:
     return value.numerator * prod(powers) == prod(pk - 1 for pk in powers) * value.denominator
 
 
-def _suite_origami(max_n: int) -> list[str]:
+def _suite_origami(max_n: int) -> _Checks:
     """Build/classify round trips and primitivity criterion agreement."""
-    failures: list[str] = []
-    one_trip = one_primitive = True
-    for params in _one_cyl_params(10):
-        s, t = origami.build_one_cylinder(params)
-        one_trip &= origami.classify_origami(s, t) == params
-        one_primitive &= (origami.one_cylinder_primitive(params)
-                          == groups.is_primitive(groups.generated(s, t)))
-    two_trip = two_primitive = True
-    for params in _two_cyl_params(10):
-        s, t = origami.build_two_cylinder(params)
-        two_trip &= origami.classify_origami(s, t) == params
-        if params.n <= 9:
-            two_primitive &= (origami.two_cylinder_primitive(params)
-                              == groups.is_primitive(groups.generated(s, t)))
-    _check(failures, "one-cylinder round trip (n <= 10)", one_trip)
-    _check(failures, "two-cylinder round trip (n <= 10)", two_trip)
-    _check(failures, "one-cylinder primitivity criterion (n <= 10)", one_primitive)
-    _check(failures, "two-cylinder primitivity criterion (n <= 9)", two_primitive)
-    ok = True
-    for a, b in ((1, 1), (1, 2), (2, 3)):
-        for k in range(1, 13):
-            for ell in range(1, 13):
-                if origami.twist_count(a, b, k, ell) != oracle.brute_twist_count(
-                    a, b, k, ell
-                ):
-                    ok = False
-    _check(failures, "twist count closed form (k, ell <= 12)", ok)
-    ok = True
-    for a in range(1, 7):
-        for b in range(1, 7):
-            if gcd(a, b) != 1:
-                continue
-            for k in range(1, 7):
-                for ell in range(1, 7):
-                    for alpha in range(k):
-                        for beta in range(ell):
-                            spans = origami.lattice_generates_z2(
-                                ((alpha, a), (beta, b), (k, 0), (ell, 0)))
-                            if spans != (gcd(k, ell, a * beta - b * alpha) == 1):
-                                ok = False
-    _check(failures, "lattice span matches gcd criterion (a,b,k,ell <= 6)", ok)
-    return failures
+    one_trip = one_primitive = two_trip = two_primitive = True
+    for n in range(3, 11):
+        for params in origami.diagrams(n):
+            if isinstance(params, origami.OneCylParams):
+                s, t = origami.build_one_cylinder(params)
+                one_trip &= origami.classify_origami(s, t) == params
+                one_primitive &= (origami.one_cylinder_primitive(params)
+                                  == groups.is_primitive(groups.generated(s, t)))
+            else:
+                s, t = origami.build_two_cylinder(params)
+                two_trip &= origami.classify_origami(s, t) == params
+                if n <= 9:
+                    two_primitive &= (origami.two_cylinder_primitive(params)
+                                      == groups.is_primitive(groups.generated(s, t)))
+    yield "one-cylinder round trip (n <= 10)", one_trip
+    yield "two-cylinder round trip (n <= 10)", two_trip
+    yield "one-cylinder primitivity criterion (n <= 10)", one_primitive
+    yield "two-cylinder primitivity criterion (n <= 9)", two_primitive
+    yield "twist count closed form (k, ell <= 12)", all(
+        origami.twist_count(a, b, k, ell) == oracle.brute_twist_count(a, b, k, ell)
+        for a, b in ((1, 1), (1, 2), (2, 3)) for k in range(1, 13) for ell in range(1, 13))
+    yield "lattice span matches gcd criterion (a,b,k,ell <= 6)", all(
+        origami.lattice_generates_z2(((alpha, a), (beta, b), (k, 0), (ell, 0)))
+        == (gcd(k, ell, a * beta - b * alpha) == 1)
+        for a in range(1, 7) for b in range(1, 7) if gcd(a, b) == 1
+        for k in range(1, 7) for ell in range(1, 7)
+        for alpha in range(k) for beta in range(ell))
 
 
-def _suite_characters(max_n: int) -> list[str]:
+def _suite_characters(max_n: int) -> _Checks:
     """Character-based pair counts against the closed-form counts."""
-    failures: list[str] = []
     for n in range(3, max_n + 1):
         class_size = n * (n - 1) * (n - 2) // 3
         frob = characters.frobenius_threecycle_sum(n)
         total = factorial(n) * class_size * frob
-        _check(
-            failures,
-            f"character sum counts all pairs at n = {n}",
-            total == census.count_b(n) * factorial(n),
-        )
+        yield (f"character sum counts all pairs at n = {n}",
+               total == census.count_b(n) * factorial(n))
         dims_sq = sum(
             characters.dimension(lam) ** 2 for lam in characters.young_diagrams(n)
         )
-        _check(failures, f"sum of squared dimensions = n! at n = {n}",
-               dims_sq == factorial(n))
-    return failures
+        yield f"sum of squared dimensions = n! at n = {n}", dims_sq == factorial(n)
 
 
-def _suite_bounds(max_n: int) -> list[str]:
+def _suite_bounds(max_n: int) -> _Checks:
     """Inequality sweeps: psi sandwich, count bounds, divisor-sum bounds."""
-    failures: list[str] = []
     report = census.bound_report(500)
     for name, bad in report.strict_failures.items():
-        _check(failures, f"bound {name} (n <= 500)", not bad)
+        yield f"bound {name} (n <= 500)", not bad
     # The for-large-n bounds are only sampled; say on stderr where they take hold.
     last = ", ".join(f"{name} {bad[-1] if bad else 'none'}"
                      for name, bad in report.epsilon_failures.items())
@@ -215,36 +185,10 @@ def _suite_bounds(max_n: int) -> list[str]:
     sig1 = arith.sigma_table(2000)
     sig3 = arith.sigma_table(2000, 3)
     phi = arith.totient_table(2000)
-    ok_upper = all(sig3[n] < n * n * sig1[n] for n in range(2, 2001))
-    ok_lower = all(sig3[n] > n * phi[n] * sig1[n] for n in range(2, 2001))
-    _check(failures, "sigma_3 < n^2 sigma (n <= 2000)", ok_upper)
-    _check(failures, "sigma_3 > n phi(n) sigma (n <= 2000)", ok_lower)
-    return failures
-
-
-def _one_cyl_params(n_max: int):
-    for n in range(3, n_max + 1):
-        for k in range(1, n // 3 + 1):
-            if n % k:
-                continue
-            m = n // k
-            for a in range(1, m - 1):
-                for b in range(1, m - a):
-                    yield origami.OneCylParams(k, a, b, m - a - b)
-
-
-def _two_cyl_params(n_max: int):
-    for n in range(3, n_max + 1):
-        for ell in range(2, n):
-            for k in range(1, ell):
-                for b in range(1, (n - k) // ell + 1):
-                    rest = n - b * ell
-                    if rest < 1 or rest % k:
-                        continue
-                    a = rest // k
-                    for alpha in range(k):
-                        for beta in range(ell):
-                            yield origami.TwoCylParams(a, b, k, ell, alpha, beta)
+    yield ("sigma_3 < n^2 sigma (n <= 2000)",
+           all(sig3[n] < n * n * sig1[n] for n in range(2, 2001)))
+    yield ("sigma_3 > n phi(n) sigma (n <= 2000)",
+           all(sig3[n] > n * phi[n] * sig1[n] for n in range(2, 2001)))
 
 
 _SUITES = {
@@ -267,7 +211,7 @@ def cmd_verify(args) -> int:
     for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order
         print(f"running suite {name} ...", file=sys.stderr)
         start = time.perf_counter()
-        failures = _SUITES[name](args.max_n)
+        failures = [label for label, passed in _SUITES[name](args.max_n) if not passed]
         print(f"suite {name} took {time.perf_counter() - start:.3f} s", file=sys.stderr)
         results[name] = failures
         status = "ok" if not failures else f"{len(failures)} failure(s)"

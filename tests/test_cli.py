@@ -225,11 +225,11 @@ def test_verify_bounds_reports_where_the_large_n_bounds_take_hold(capsys):
 
 
 def test_verify_argument_validation(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suites", "nope")
-    assert code == 2
-    assert "unknown suite" in err
-    code, _, err = run_cli(capsys, "verify", "--max-n", "9")
-    assert code == 2
+    for argv in (("--suites", "nope"), ("--max-n", "9")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
     code, _, err = run_cli(capsys, "verify", "--max-n", "8")
     assert code == 2
     assert "--allow-n8" in err
@@ -282,6 +282,15 @@ def test_failed_write_is_one_line_and_exit_1(argv):
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines()[-1] == (
         "permcensus: cannot write output: [Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("argv", [("census", "--to", "5"),
+                                  ("verify", "--suites", "characters", "--max-n", "3")])
+def test_closed_stdout_is_one_line_and_exit_1(argv):
+    result = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "permcensus",
+                             *argv], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == "permcensus: cannot write output: stdout is closed\n"
 
 
 def test_bad_thread_count_from_environment_is_a_usage_error():

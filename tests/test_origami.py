@@ -16,6 +16,7 @@ from permcensus.origami import (
     build_one_cylinder,
     build_two_cylinder,
     classify_origami,
+    diagrams,
     lattice_generates_z2,
     one_cylinder_primitive,
     two_cylinder_primitive,
@@ -26,24 +27,10 @@ from permcensus.census import _t_table
 from permcensus.perm import commutator, identity, parse_cycles
 
 
-def one_cylinder_tuples(n_max):
-    for m in range(3, n_max + 1):
-        for k in range(1, n_max // m + 1):
-            for a in range(1, m - 1):
-                for b in range(1, m - a):
-                    yield OneCylParams(k, a, b, m - a - b)
-
-
-def two_cylinder_tuples(n_max):
-    for k in range(1, n_max):
-        for ell in range(k + 1, n_max + 1):
-            for a in range(1, n_max + 1):
-                for b in range(1, n_max + 1):
-                    if a * k + b * ell > n_max:
-                        break
-                    for alpha in range(k):
-                        for beta in range(ell):
-                            yield TwoCylParams(a, b, k, ell, alpha, beta)
+def diagrams_up_to(n_max, shape):
+    """The cylinder diagrams of the given shape with at most n_max squares."""
+    return [params for n in range(3, n_max + 1) for params in diagrams(n)
+            if isinstance(params, shape)]
 
 
 def test_param_validation():
@@ -75,13 +62,13 @@ def test_smallest_two_cylinder_surface():
 
 
 def test_built_commutator_is_the_marked_three_cycle():
-    for params in one_cylinder_tuples(10):
+    for params in diagrams_up_to(10, OneCylParams):
         s, t = build_one_cylinder(params)
         a, b = params.a, params.b
         expected = parse_cycles(f"(1 {a + b + 1} {a + 1})", params.n)
         assert commutator(s, t) == expected
         assert is_transitive(generated(s, t))
-    for params in two_cylinder_tuples(10):
+    for params in diagrams_up_to(10, TwoCylParams):
         s, t = build_two_cylinder(params)
         z1, y1, x1 = 1, params.a * params.k + 1, params.a * params.k + params.k + 1
         c = commutator(s, t)
@@ -90,14 +77,14 @@ def test_built_commutator_is_the_marked_three_cycle():
 
 
 def test_one_cylinder_round_trip():
-    for params in one_cylinder_tuples(10):
+    for params in diagrams_up_to(10, OneCylParams):
         recovered = classify_origami(*build_one_cylinder(params))
         assert recovered == params
         assert type(recovered) is type(params)
 
 
 def test_two_cylinder_round_trip():
-    for params in two_cylinder_tuples(10):
+    for params in diagrams_up_to(10, TwoCylParams):
         recovered = classify_origami(*build_two_cylinder(params))
         assert recovered == params
         assert type(recovered) is type(params)
@@ -107,11 +94,12 @@ def test_two_cylinder_round_trip():
 def test_classify_is_total_on_connected_pairs_with_a_three_cycle(n):
     """Parameters exactly for the transitive pairs with a 3-cycle commutator, t(n) * n! of them.
 
-    Every other pair raises ValueError, and each result rebuilds to a pair
-    that classifies back to it.
+    Every other pair raises ValueError, each result rebuilds to a pair that
+    classifies back to it, and the results are exactly the diagrams(n).
     """
     perms = list(permutations(range(1, n + 1)))
     classified = 0
+    shapes = set()
     for s in perms:
         for t in perms:
             c = commutator(s, t)
@@ -124,7 +112,9 @@ def test_classify_is_total_on_connected_pairs_with_a_three_cycle(n):
             build = build_one_cylinder if isinstance(params, OneCylParams) else build_two_cylinder
             assert classify_origami(*build(params)) == params
             classified += 1
+            shapes.add(params)
     assert Fraction(classified, factorial(n)) == _t_table(sigma_table(n))[n]
+    assert shapes == set(diagrams(n))
 
 
 def test_classify_rejects_bad_input():
@@ -138,14 +128,14 @@ def test_classify_rejects_bad_input():
 
 
 def test_one_cylinder_criterion_matches_group_primitivity():
-    for params in one_cylinder_tuples(12):
+    for params in diagrams_up_to(12, OneCylParams):
         s, t = build_one_cylinder(params)
         expected = is_primitive(generated(s, t))
         assert one_cylinder_primitive(params) == expected
 
 
 def test_two_cylinder_criterion_matches_group_primitivity():
-    for params in two_cylinder_tuples(11):
+    for params in diagrams_up_to(11, TwoCylParams):
         s, t = build_two_cylinder(params)
         expected = is_primitive(generated(s, t))
         assert two_cylinder_primitive(params) == expected

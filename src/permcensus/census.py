@@ -179,7 +179,12 @@ def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float
 
 
 class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
-    """All six normalized family counts at one degree."""
+    """All six normalized family counts at one degree.
+
+    p1, p2 and pa are the plain ratios a1/b1, a2/b2 and a/b;
+    limit_diagnostics("p2") and ("pa") read the rescaled census columns
+    n*a2/b2 and P(n)*a/(n*b) instead.
+    """
 
     __slots__ = ()
 

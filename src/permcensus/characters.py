@@ -29,34 +29,28 @@ def character_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         raise ValueError(f"lam must be nonincreasing, got {lam}")
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |lam| = {sum(lam)}, |mu| = {sum(mu)}")
-    return _strip_recursion(lam, mu)
+    m = len(lam)
+    return _strip_recursion(frozenset(part + m - 1 - i for i, part in enumerate(lam)), mu)
 
 
 @lru_cache(maxsize=None)
-def _strip_recursion(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _strip_recursion(beta: frozenset[int], mu: tuple[int, ...]) -> int:
     """Border-strip evaluation on first-column hook lengths (beta numbers).
 
-    Rows are encoded as the strictly decreasing numbers lam_i + (m - i);
-    removing a strip of length r means lowering one of them by r while
-    keeping them distinct, and the sign counts the entries jumped over.
+    beta holds lam_i + (m - 1 - i) for the m parts of lam; removing a strip
+    of length r means lowering one of them by r onto a number not in the
+    set, and the sign counts the entries jumped over.
     """
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
     total = 0
-    for i, b in enumerate(beta):
+    for b in beta:
         nb = b - r
-        if nb < 0 or nb in beta_set:
+        if nb < 0 or nb in beta:
             continue
         height = sum(1 for other in beta if nb < other < b)
-        reduced = sorted((nb if j == i else beta[j] for j in range(m)), reverse=True)
-        new_lam = tuple(v - (m - 1 - j) for j, v in enumerate(reduced))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        total += (-1) ** height * _strip_recursion(new_lam, rest)
+        total += (-1) ** height * _strip_recursion(beta - {b} | {nb}, rest)
     return total
 
 

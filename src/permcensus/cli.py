@@ -6,7 +6,7 @@ digits, as plain, csv or jsonl lines.  Each row is written as soon as it
 is computed, so `census --to 10000 | head -1` does not wait for the rest
 of the range.
 Exit codes: 0 success, 1 verification failure or failed write, 2 usage
-error.
+error, whether or not stderr can be written (warn skips a failed line).
 
 Importing this module loads census, arith and partitions, and no other
 module of the package.  The verification suites live in verify.py, which
@@ -31,8 +31,7 @@ SUITE_NAMES = ("formulas", "identities", "origami", "characters", "bounds")
 
 def cmd_census(args) -> int:
     if args.start < 3 or args.start > args.stop:
-        print(f"census: need 3 <= --from <= --to, got {args.start}..{args.stop}",
-              file=sys.stderr)
+        warn(f"census: need 3 <= --from <= --to, got {args.start}..{args.stop}")
         return 2
     header = census.COLUMNS[args.family]
     if args.format == "jsonl":
@@ -60,7 +59,7 @@ def cmd_census(args) -> int:
 def _cmd_verify(args) -> int:
     # Usage errors are reported before the suites' modules are loaded.
     if args.max_n == 8 and not args.allow_n8:
-        print("verify: --max-n 8 needs --allow-n8", file=sys.stderr)
+        warn("verify: --max-n 8 needs --allow-n8")
         return 2
     from permcensus import verify
 
@@ -126,7 +125,7 @@ def _thread_count(text: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if sys.stdout is None:  # started with stdout closed (`permcensus census >&-`)
-        print("permcensus: cannot write output: stdout is closed", file=sys.stderr)
+        warn("permcensus: cannot write output: stdout is closed")
         return 1
     try:
         code = args.func(args)
@@ -137,9 +136,17 @@ def main(argv=None) -> int:
         _discard_stdout()
         return 0
     except OSError as exc:  # stdout could not be written, e.g. a full disk
-        print(f"permcensus: cannot write output: {exc}", file=sys.stderr)
+        warn(f"permcensus: cannot write output: {exc}")
         _discard_stdout()
         return 1
+
+
+def warn(line: str) -> None:
+    """Write one line to stderr, best effort: skip it when stderr is closed or fails."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # sys.stderr is None when fd 2 was closed at start
+        pass
 
 
 def _discard_stdout() -> None:

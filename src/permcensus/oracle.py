@@ -4,7 +4,8 @@ Everything here is deliberately independent of the formulas: pairs are
 enumerated, commutators computed pointwise, and generation tested via
 the group machinery.  Degrees run 3..8; n = 8 takes 40320 candidates t
 for each of 22 cycle types of s (the command line asks for an opt-in
-before it runs that degree).
+before it runs that degree).  Both counts weight one class representative
+s per cycle type, perm.block_cycles of the partition, by its class size.
 
 brute_count is the plain reference: it tests each pair (s, t) with
 perm.three_cycle.  brute_counts, which verify runs, scans the commutators
@@ -27,24 +28,14 @@ from math import gcd
 
 from permcensus import groups
 from permcensus.partitions import enumerate_partitions
-from permcensus.perm import conjugacy_class_size, cycle_structure, inverse, three_cycle
+from permcensus.perm import (block_cycles, conjugacy_class_size, cycle_structure, inverse,
+                             three_cycle)
 
 FAMILIES = ("B", "A", "B1", "A1", "B2", "A2")
 _GENERATING = ("A", "A1", "A2")
 
 _MAX_DEGREE = 8
 _MAX_FULL_DEGREE = 6
-
-
-def _rep_from_flag(flag: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """A canonical permutation with the given cycle lengths: consecutive blocks."""
-    img = list(range(1, n + 1))
-    start = 1
-    for length in flag:
-        for offset in range(length):
-            img[start + offset - 1] = start + (offset + 1) % length
-        start += length
-    return tuple(img)
 
 
 def _check_degree(n: int) -> None:
@@ -97,10 +88,9 @@ def brute_count(n: int, family: str, *, full: bool = False) -> int:
                    if _s_filter(family, cycle_structure(s_img).flag))
 
     total = 0
-    for flag_list in enumerate_partitions(n):
-        flag = tuple(flag_list)
+    for flag in enumerate_partitions(n):
         if _s_filter(family, flag):
-            total += conjugacy_class_size(flag) * count_t_loop(_rep_from_flag(flag, n))
+            total += conjugacy_class_size(flag) * count_t_loop(block_cycles(flag))
     return total
 
 
@@ -141,9 +131,8 @@ def brute_counts(n: int) -> dict[str, int]:
     low_bits = int.from_bytes(b"\x01" * len(images), "big")
     one_based = bytes(range(1, 256)).ljust(256, b"\0")
     totals = dict.fromkeys(FAMILIES, 0)
-    for flag_list in enumerate_partitions(n):
-        flag = tuple(flag_list)
-        s_img = _rep_from_flag(flag, n)
+    for flag in enumerate_partitions(n):
+        s_img = block_cycles(flag)
         s_inv = [x - 1 for x in inverse(s_img)]
         through_s_inv = bytes(s_inv).ljust(256, b"\0")
         moved = 0

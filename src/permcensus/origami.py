@@ -10,11 +10,13 @@ exactly two ways:
 * two cylinders of widths k < l and heights a, b, glued along three
   marked segments and rotated against each other by twists alpha, beta.
 
-diagrams(n) lists the parameters of every shape with n squares.
-Builders produce a canonical numbering (each row a consecutive block,
-bottom to top), classify_origami inverts them from the 3-cycle that
-perm.three_cycle reads and one index of the s-cycles, and the
-primitivity predicates decide when the surface is not a proper cover.
+diagrams(n) lists the parameters of every shape with n squares.  Each
+builder is a stack of its cylinders' rows, numbered from the bottom, plus
+its own top gluing, so its s is perm.block_cycles of the row widths: the
+oracle's class representative of that cycle type.  classify_origami
+inverts the builders from the 3-cycle that perm.three_cycle reads and
+one index of the s-cycles, and the primitivity predicates decide when
+the surface is not a proper cover.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import gcd
 
 from permcensus import groups
 from permcensus.arith import euler_phi
-from permcensus.perm import cycle_structure, three_cycle
+from permcensus.perm import block_cycles, cycle_structure, three_cycle
 
 
 class OneCylParams(namedtuple("OneCylParams", "k a b c")):
@@ -84,76 +86,58 @@ def diagrams(n: int) -> Iterator[OneCylParams | TwoCylParams]:
                         yield TwoCylParams(a, b, k, ell, alpha, beta)
 
 
+def _stack(cylinders: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], list[int]]:
+    """s and the straight-up part of t for cylinders [(width, height), ...] stacked from square 1.
+
+    Squares are numbered row by row from the bottom, left to right, so s is
+    perm.block_cycles of the row widths.  t sends every square below the
+    top row of its cylinder to the square above it; the top rows' entries
+    are left 0 for the builder's gluing.
+    """
+    s = block_cycles([width for width, height in cylinders for _ in range(height)])
+    t = [0] * len(s)
+    base = 0
+    for width, height in cylinders:
+        top = base + (height - 1) * width
+        t[base:top] = range(base + width + 1, top + width + 1)
+        base = top + width
+    return s, t
+
+
 def build_one_cylinder(params: OneCylParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical pair for a one-cylinder surface; its commutator is a 3-cycle.
 
-    Squares are numbered row by row from the bottom, left to right; each
-    row is an s-cycle.  Rows map straight up under t, and the top row
-    closes onto the bottom row re-ordered as [first a columns, last c
-    columns, middle b columns].  The commutator is then the 3-cycle on
-    the bottom-row points 1, a+1 and a+b+1 sending
-    (a+b+1) -> (a+1) -> 1 -> (a+b+1).
+    k rows of width m are stacked (each row an s-cycle, rows mapping
+    straight up under t), and the top row closes onto the bottom row
+    re-ordered as [first a columns, last c columns, middle b columns].
+    The commutator is then the 3-cycle on the bottom-row points 1, a+1
+    and a+b+1 sending (a+b+1) -> (a+1) -> 1 -> (a+b+1).
     """
-    k, a, b, c = params.k, params.a, params.b, params.c
+    k, a, b, c = params
     m = a + b + c
-    n = k * m
-    s_img = [0] * n
-    t_img = [0] * n
-    for r in range(k):
-        for j in range(m):
-            sq = r * m + j
-            s_img[sq] = r * m + (j + 1) % m + 1
-            if r < k - 1:
-                t_img[sq] = sq + m + 1
-    bottom = list(range(1, m + 1))
-    closing = bottom[:a] + bottom[a + b :] + bottom[a : a + b]
-    top_base = (k - 1) * m
-    for j in range(m):
-        t_img[top_base + j] = closing[j]
-    return tuple(s_img), tuple(t_img)
+    s, t = _stack([(m, k)])
+    t[(k - 1) * m :] = [*range(1, a + 1), *range(a + b + 1, m + 1), *range(a + 1, a + b + 1)]
+    return s, tuple(t)
 
 
 def build_two_cylinder(params: TwoCylParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical pair for a two-cylinder surface; its commutator is a 3-cycle.
 
-    The short cylinder (width k, height a) occupies squares 1..ak, its
-    bottom row being the marked z-segment; the tall cylinder (width ell,
-    height b) follows, its bottom row listing the y-segment (k squares)
-    then the x-segment (ell - k squares).  Interior rows map straight up.
-    The short top lands on the y-segment shifted by alpha; the tall top
-    lands on [z-row, x-segment] shifted by beta.  For every twist the
-    commutator is the 3-cycle on z1 = 1, y1 = ak+1, x1 = ak+k+1 sending
-    z1 -> y1 -> x1 -> z1.
+    The short cylinder (width k, height a) is stacked first, on squares
+    1..ak, its bottom row being the marked z-segment; the tall cylinder
+    (width ell, height b) follows, its bottom row listing the y-segment
+    (k squares) then the x-segment (ell - k squares).  The short top lands
+    on the y-segment shifted by alpha; the tall top lands on [z-row,
+    x-segment] shifted by beta.  For every twist the commutator is the
+    3-cycle on z1 = 1, y1 = ak+1, x1 = ak+k+1 sending z1 -> y1 -> x1 -> z1.
     """
-    a, b, k, ell = params.a, params.b, params.k, params.ell
-    alpha, beta = params.alpha, params.beta
-    n = a * k + b * ell
-    s_img = [0] * n
-    t_img = [0] * n
-    for r in range(a):
-        for i in range(k):
-            sq = r * k + i
-            s_img[sq] = r * k + (i + 1) % k + 1
-            if r < a - 1:
-                t_img[sq] = sq + k + 1
+    a, b, k, ell, alpha, beta = params
     base = a * k
-    for r in range(b):
-        for j in range(ell):
-            sq = base + r * ell + j
-            s_img[sq] = base + r * ell + (j + 1) % ell + 1
-            if r < b - 1:
-                t_img[sq] = sq + ell + 1
-    y_row = [base + i + 1 for i in range(k)]
-    x_row = [base + k + i + 1 for i in range(ell - k)]
-    z_row = list(range(1, k + 1))
-    short_top = (a - 1) * k
-    for i in range(k):
-        t_img[short_top + i] = y_row[(i - alpha) % k]
-    closing = z_row + x_row
-    tall_top = base + (b - 1) * ell
-    for j in range(ell):
-        t_img[tall_top + j] = closing[(j - beta) % ell]
-    return tuple(s_img), tuple(t_img)
+    s, t = _stack([(k, a), (ell, b)])
+    t[base - k : base] = [base + 1 + (i - alpha) % k for i in range(k)]
+    closing = [*range(1, k + 1), *range(base + k + 1, base + ell + 1)]
+    t[len(t) - ell :] = [closing[(j - beta) % ell] for j in range(ell)]
+    return s, tuple(t)
 
 
 def classify_origami(s: Sequence[int], t: Sequence[int]) -> OneCylParams | TwoCylParams:

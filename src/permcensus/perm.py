@@ -3,11 +3,13 @@
 A permutation is its image tuple: entry x - 1 is the image of the point
 x, so points are 1-based everywhere.  compose, inverse, commutator,
 three_cycle, cycle_structure and signature take any such tuple, and the
-first three return plain tuples.  Permutation is the validated type for
-parsing and printing: a tuple subclass whose constructor checks the
-bijection, so every Permutation is also an image tuple.  Disjoint-cycle
-data is ordered by (and each cycle started at) its minimal element, so
-printed forms are canonical.
+first three return plain tuples, as does block_cycles, the class
+representative of a cycle type that the oracle and the origami builders
+share.  Permutation is the validated type for parsing and printing: a
+tuple subclass whose constructor checks the bijection, so every
+Permutation is also an image tuple.  Disjoint-cycle data is ordered by
+(and each cycle started at) its minimal element, so printed forms are
+canonical.
 """
 
 from __future__ import annotations
@@ -93,6 +95,21 @@ def three_cycle(s: Sequence[int], t: Sequence[int]) -> tuple[int, int, int] | No
         return None
     x = min(images)
     return x, images[x], images[images[x]]
+
+
+def block_cycles(lengths: Iterable[int]) -> tuple[int, ...]:
+    """The image tuple whose cycles are consecutive blocks of the given lengths from point 1.
+
+    Each block start, ..., start + length - 1 (length >= 1) is one cycle
+    that sends every point to the next and the last back to start:
+    (2, 3) gives (1 2)(3 4 5).
+    """
+    img: list[int] = []
+    for length in lengths:
+        start = len(img) + 1
+        img.extend(range(start + 1, start + length))
+        img.append(start)
+    return tuple(img)
 
 
 def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> Permutation:

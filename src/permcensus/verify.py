@@ -17,13 +17,13 @@ The command line loads this module only for `permcensus verify`, so that
 from __future__ import annotations
 
 import json
-import sys
 import time
 from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial, gcd, prod
 
 from permcensus import arith, census, characters, groups, oracle, origami, partitions
+from permcensus.cli import warn
 
 
 _Checks = Iterator[tuple[str, bool]]
@@ -180,8 +180,8 @@ def _suite_bounds(max_n: int) -> _Checks:
     # The for-large-n bounds are only sampled; say on stderr where they take hold.
     last = ", ".join(f"{name} {bad[-1] if bad else 'none'}"
                      for name, bad in report.epsilon_failures.items())
-    print(f"bounds: last degree n <= 500 failing each for-large-n bound at "
-          f"eps = {report.epsilon}: {last}", file=sys.stderr)
+    warn(f"bounds: last degree n <= 500 failing each for-large-n bound at "
+         f"eps = {report.epsilon}: {last}")
     sig1 = arith.sigma_table(2000)
     sig3 = arith.sigma_table(2000, 3)
     phi = arith.totient_table(2000)
@@ -209,10 +209,10 @@ def cmd_verify(args) -> int:
     """
     results = {}
     for name in dict.fromkeys(args.suites):  # each suite once, in first-seen order
-        print(f"running suite {name} ...", file=sys.stderr)
+        warn(f"running suite {name} ...")
         start = time.perf_counter()
         failures = [label for label, passed in _SUITES[name](args.max_n) if not passed]
-        print(f"suite {name} took {time.perf_counter() - start:.3f} s", file=sys.stderr)
+        warn(f"suite {name} took {time.perf_counter() - start:.3f} s")
         results[name] = failures
         status = "ok" if not failures else f"{len(failures)} failure(s)"
         print(f"suite {name}: {status}")

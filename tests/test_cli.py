@@ -293,6 +293,28 @@ def test_closed_stdout_is_one_line_and_exit_1(argv):
     assert result.stderr == "permcensus: cannot write output: stdout is closed\n"
 
 
+def run_in_shell(redirect, *argv):
+    return subprocess.run(["sh", "-c", f'"$@" {redirect}', "sh",
+                           sys.executable, "-m", "permcensus", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("redirect", [
+    "2>&-",
+    pytest.param("2>/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                         reason="no /dev/full on this system")),
+])
+def test_lost_stderr_changes_neither_stdout_nor_exit_code(redirect):
+    verify = ("verify", "--suites", "characters", "--max-n", "3", "--json")
+    normal = run_in_shell("", *verify)
+    assert normal.returncode == 0 and "suite characters: ok" in normal.stdout
+    lost = run_in_shell(redirect, *verify)
+    assert (lost.returncode, lost.stdout) == (0, normal.stdout)
+    for argv in (("census", "--to", "2"), ("verify", "--max-n", "8")):
+        result = run_in_shell(redirect, *argv)
+        assert (result.returncode, result.stdout) == (2, "")
+
+
 def test_bad_thread_count_from_environment_is_a_usage_error():
     result = run_module("census", "--to", "5", env=os.environ | {"PERMCENSUS_THREADS": "abc"})
     assert result.returncode == 2

@@ -22,7 +22,7 @@ from permcensus.groups import (
     orbit,
     order_route,
 )
-from permcensus.perm import Permutation, commutator, identity, parse_cycles
+from permcensus.perm import Permutation, block_cycles, commutator, identity, parse_cycles
 
 
 def gen(degree, *cycle_texts):
@@ -259,15 +259,7 @@ def test_routes_agree_on_class_representatives(n):
     # outer permutation per cycle type covers every pair.
     from permcensus.partitions import enumerate_partitions
 
-    reps = []
-    for flag in enumerate_partitions(n):
-        image = []
-        start = 1
-        for length in flag:
-            block = list(range(start, start + length))
-            image.extend(block[1:] + block[:1])
-            start += length
-        reps.append(Permutation(tuple(image)))
+    reps = [Permutation(block_cycles(flag)) for flag in enumerate_partitions(n)]
     perms = [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
     checked = 0
     for s in reps:

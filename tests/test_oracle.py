@@ -11,14 +11,13 @@ from permcensus.oracle import (
     FAMILIES,
     _double_coset,
     _powers,
-    _rep_from_flag,
     brute_count,
     brute_counts,
     brute_triple_counts,
     brute_twist_count,
 )
 from permcensus.partitions import enumerate_partitions
-from permcensus.perm import compose, three_cycle
+from permcensus.perm import block_cycles, compose, three_cycle
 
 
 def formula_value(n, family):
@@ -65,7 +64,7 @@ def double_cosets_of_hits(n):
     """
     total = 0
     for flag in enumerate_partitions(n):
-        s = _rep_from_flag(tuple(flag), n)
+        s = block_cycles(flag)
         powers = [tuple(range(1, n + 1))]
         while compose(s, powers[-1]) != powers[0]:
             powers.append(compose(s, powers[-1]))
@@ -116,7 +115,7 @@ def closure_walk(t, s, step=None):
 def hits_by_representative(n):
     """Each class representative s with its 3-cycle hits t, both as 0-based bytes."""
     for flag in enumerate_partitions(n):
-        s = _rep_from_flag(tuple(flag), n)
+        s = block_cycles(flag)
         hits = [bytes(x - 1 for x in t) for t in permutations(range(1, n + 1))
                 if three_cycle(s, t) is not None]
         yield bytes(x - 1 for x in s), hits

@@ -24,7 +24,7 @@ from permcensus.origami import (
 )
 from permcensus.arith import jordan_totient, sigma_table
 from permcensus.census import _t_table
-from permcensus.perm import commutator, identity, parse_cycles
+from permcensus.perm import block_cycles, commutator, identity, parse_cycles
 
 
 def diagrams_up_to(n_max, shape):
@@ -59,6 +59,15 @@ def test_smallest_two_cylinder_surface():
     assert s == parse_cycles("(2 3)", 3)
     assert t == parse_cycles("(1 2)", 3)
     assert commutator(s, t) == parse_cycles("(1 2 3)", 3)
+
+
+def test_built_s_is_the_block_cycles_of_the_row_widths():
+    for params in diagrams_up_to(10, OneCylParams):
+        s, _ = build_one_cylinder(params)
+        assert s == block_cycles([params.a + params.b + params.c] * params.k)
+    for params in diagrams_up_to(10, TwoCylParams):
+        s, _ = build_two_cylinder(params)
+        assert s == block_cycles([params.k] * params.a + [params.ell] * params.b)
 
 
 def test_built_commutator_is_the_marked_three_cycle():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from permcensus.partitions import enumerate_partitions
 from permcensus.perm import (
     Permutation,
+    block_cycles,
     commutator,
     compose,
     conjugacy_class_size,
@@ -168,6 +169,14 @@ def test_class_sizes_match_direct_count():
             tally[flag] = tally.get(flag, 0) + 1
         for flag, count in tally.items():
             assert conjugacy_class_size(flag) == count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_cycles_are_consecutive_blocks_of_the_cycle_type(n):
+    for flag in enumerate_partitions(n):
+        starts = itertools.accumulate(flag, initial=1)
+        blocks = tuple(tuple(range(start, start + length)) for start, length in zip(starts, flag))
+        assert cycle_structure(Permutation(block_cycles(flag))).cycles == blocks
 
 
 @given(permutation_pairs(max_degree=10))

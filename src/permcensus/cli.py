@@ -88,11 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--family", choices=tuple(census.COLUMNS), default="main",
                      help="main: all pairs; cycles: n-cycle and any-cycle families")
     cen.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
-    cen.add_argument("--threads", type=_thread_count,
-                     default=os.environ.get("PERMCENSUS_THREADS", "1"),
+    cen.add_argument("--threads", type=_thread_count, default=1,
                      help="accepted for compatibility and ignored: rows are "
-                          "computed in one thread (an integer >= 1; default "
-                          "$PERMCENSUS_THREADS or 1)")
+                          "computed in one thread (an integer >= 1; default 1)")
     cen.set_defaults(func=cmd_census)
 
     ver = sub.add_parser("verify", help="run verification suites")
@@ -117,8 +115,7 @@ def _thread_count(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"thread count (--threads or PERMCENSUS_THREADS) must be an integer "
-            f">= 1, got {text!r}")
+            f"thread count (--threads) must be an integer >= 1, got {text!r}")
     return value
 
 

@@ -18,7 +18,9 @@ degree is at most 8.  It then decides generation once per double coset
 <s> t <s> of pairs with a 3-cycle commutator, not once per pair: for
 every t' = s^j t s^k, [s, t'] = s^j [s, t] s^-j is again a 3-cycle and
 <s, t'> = <s, t>.  The powers of s are listed once per class
-representative, and each coset is two set comprehensions over them.
+representative, and each coset is two set comprehensions over them.  A
+set of seen hits skips decided cosets, and one count check per s asks
+that the cosets be disjoint and hold exactly the hits.
 """
 
 from __future__ import annotations
@@ -118,14 +120,15 @@ def brute_counts(n: int) -> dict[str, int]:
 
     Generation is decided once per double coset <s> t <s> of hits (pairs
     whose commutator is a 3-cycle): [s, s^j t s^k] = s^j [s, t] s^-j and
-    <s, s^j t s^k> = <s, t>, so one call labels the whole coset, which
-    _double_coset builds from the powers of s.  Every member of a coset
-    must itself be a hit; one that is not raises RuntimeError, since that
-    would be a bug in the scan or in the coset.
+    <s, s^j t s^k> = <s, t>, so one call decides the coset that
+    _double_coset builds, and a set of seen hits skips its other members.
+    The cosets partition the hits, so their sizes must add up to the size
+    of that set and to the number of hits; a coset that overlaps an earlier
+    one or holds a non-hit is a bug in the scan or the coset and raises
+    RuntimeError.
     """
     _check_degree(n)
     images = [bytes(image) for image in all_images(range(n))]
-    index = {image: i for i, image in enumerate(images)}
     columns = [bytes(column) for column in zip(*images)]
     column_ints = [int.from_bytes(column, "big") for column in columns]
     low_bits = int.from_bytes(b"\x01" * len(images), "big")
@@ -141,24 +144,23 @@ def brute_counts(n: int) -> dict[str, int]:
             moved += (diff | diff >> 1 | diff >> 2) & low_bits
         moved_per_t = moved.to_bytes(len(images), "big")
         powers, tables = _powers(bytes(x - 1 for x in s_img))
-        labelled = bytearray(len(images))
-        generating = 0
+        seen: set[bytes] = set()
+        members = generating = 0
         i = moved_per_t.find(3)
         while i >= 0:
-            if not labelled[i]:
+            if images[i] not in seen:
                 coset = _double_coset(images[i], powers, tables)
-                for u in coset:
-                    j = index[u]
-                    if moved_per_t[j] != 3:
-                        raise RuntimeError(
-                            f"double coset of a 3-cycle hit holds a non-hit at degree {n}, "
-                            f"s = {s_img} (this is a bug)")
-                    labelled[j] = 1
+                seen |= coset
+                members += len(coset)
                 t_img = tuple(images[i].translate(one_based))
                 if groups.generates_alt_or_sym(s_img, t_img) != groups.NEITHER:
                     generating += len(coset)
             i = moved_per_t.find(3, i + 1)
         hits = moved_per_t.count(3)
+        if not members == len(seen) == hits:
+            raise RuntimeError(
+                f"double cosets of the 3-cycle hits overlap or hold a non-hit at degree {n}, "
+                f"s = {s_img} (this is a bug)")
         size = conjugacy_class_size(flag)
         for family in FAMILIES:
             if _s_filter(family, flag):

@@ -144,6 +144,22 @@ def test_a_walk_that_leaves_the_double_coset_trips_the_self_check(monkeypatch):
             brute_counts(n)
 
 
+def test_a_coset_that_repeats_an_earlier_one_trips_the_self_check(monkeypatch):
+    previous = {}
+
+    def with_previous_coset(t, powers, tables):
+        # Every member is still a hit, but the cosets of one s now overlap.
+        coset = _double_coset(t, powers, tables)
+        key = tuple(powers)
+        earlier = previous.get(key, set())
+        previous[key] = coset
+        return coset | earlier
+
+    monkeypatch.setattr(oracle, "_double_coset", with_previous_coset)
+    with pytest.raises(RuntimeError, match="non-hit"):
+        brute_counts(4)
+
+
 def test_single_pass_matches_formulas_at_eight():
     counts = brute_counts(8)
     assert counts == {family: formula_value(8, family) * factorial(8) for family in FAMILIES}

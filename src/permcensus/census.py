@@ -224,16 +224,27 @@ COLUMNS = {
 }
 
 
+# A main run first builds the tables up to this degree, so its first rows
+# do not wait for the tables of a wide range.  The default census (3..255)
+# stays within it and builds one set of tables.
+_HEAD = 256
+
+
 def rows(layout: str, degrees):
     """Yield the row of layout at each degree of degrees (a range or a list), in order.
 
     Each row is computed when it is asked for.  A main run builds the
-    tables for the largest degree once; a cycles run builds none.  An
-    unknown layout raises ValueError when iteration starts.
+    tables up to min(largest degree, 256) before its first row, and the
+    tables for the largest degree only when a row past them is asked for;
+    a cycles run builds none.  An unknown layout raises ValueError when
+    iteration starts.
     """
     if layout == "main":
-        tables = build_tables(max(degrees, default=0))
+        last = max(degrees, default=0)
+        tables = build_tables(min(last, _HEAD))
         for n in degrees:
+            if n >= len(tables.p):
+                tables = build_tables(last)
             a, b = count_a(n), count_b(n, tables)
             yield n, a, b, Fraction(tables.p[n] * a, n * b)
     elif layout == "cycles":

@@ -224,6 +224,50 @@ def test_rows_reject_an_unknown_layout(degrees):
         next(rows("orbits", degrees))
 
 
+def record_table_bounds(monkeypatch) -> list[int]:
+    """Patch census.build_tables to append each bound it is called with to the returned list."""
+    bounds = []
+
+    def recording(bound):
+        bounds.append(bound)
+        return build_tables(bound)
+
+    monkeypatch.setattr(census, "build_tables", recording)
+    return bounds
+
+
+def main_rows_one_degree_at_a_time(degrees):
+    """The main rows from per-degree counts, each count_b(n) with its own tables."""
+    return [(n, count_a(n), count_b(n), Fraction(partition_count(n) * count_a(n), n * count_b(n)))
+            for n in degrees]
+
+
+def test_a_wide_main_run_builds_the_head_tables_before_its_first_row(monkeypatch):
+    bounds = record_table_bounds(monkeypatch)
+    got = rows("main", range(3, 5001))
+    assert next(got)[0] == 3
+    assert bounds == [256]
+    assert sum(1 for _ in got) == 4997
+    assert bounds == [256, 5000]
+
+
+def test_a_main_run_within_the_head_builds_one_set_of_tables(monkeypatch):
+    bounds = record_table_bounds(monkeypatch)
+    assert len(list(rows("main", range(3, 256)))) == 253
+    assert bounds == [255]
+
+
+def test_main_rows_in_any_order_match_the_per_degree_counts(monkeypatch):
+    bounds = record_table_bounds(monkeypatch)
+    got = list(rows("main", [300, 4, 257]))
+    assert bounds == [256, 300]
+    assert got == main_rows_one_degree_at_a_time([300, 4, 257])
+
+
+def test_main_rows_across_the_head_match_the_per_degree_counts():
+    assert list(rows("main", range(250, 600))) == main_rows_one_degree_at_a_time(range(250, 600))
+
+
 def test_raw_generating_ratio_decreases_on_grid():
     ratios = [census_row(n).pa for n in (50, 100, 150, 200, 255)]
     assert all(x > y for x, y in zip(ratios, ratios[1:]))

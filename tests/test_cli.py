@@ -381,6 +381,24 @@ def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch):
     assert written.splitlines(keepends=True) == GOLDEN.read_text().splitlines(keepends=True)[:7]
 
 
+def test_census_writes_the_head_rows_before_building_the_whole_range_tables(capsys, monkeypatch):
+    from permcensus import census
+
+    _, row_256, _ = run_cli(capsys, "census", "--from", "256", "--to", "256")
+    real_build_tables = census.build_tables
+
+    def head_only(bound):
+        if bound > 256:
+            raise MemoryError(f"build_tables({bound}) past the head")
+        return real_build_tables(bound)
+
+    monkeypatch.setattr(census, "build_tables", head_only)
+    with pytest.raises(MemoryError, match=r"build_tables\(5000\)"):
+        main(["census", "--to", "5000"])
+    written = capsys.readouterr().out
+    assert written == GOLDEN.read_text() + row_256
+
+
 def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
     from permcensus import census
 

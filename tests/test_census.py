@@ -238,8 +238,8 @@ def record_table_bounds(monkeypatch) -> list[int]:
 
 def main_rows_one_degree_at_a_time(degrees):
     """The main rows from per-degree counts, each count_b(n) with its own tables."""
-    return [(n, count_a(n), count_b(n), Fraction(partition_count(n) * count_a(n), n * count_b(n)))
-            for n in degrees]
+    counts = [(n, count_a(n), count_b(n)) for n in degrees]
+    return [(n, a, b, Fraction(partition_count(n) * a, n * b)) for n, a, b in counts]
 
 
 def test_a_wide_main_run_builds_the_head_tables_before_its_first_row(monkeypatch):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending."""
     if n < 1:

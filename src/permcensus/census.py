@@ -154,15 +154,6 @@ def psi(a, n: int):
     return sum(k**exponent * sig[k] * table[n - k] for k in range(1, n + 1))
 
 
-def _psi_series(a: int, sig: list[int], table: list[int]) -> list[int]:
-    """psi(a, n) at every degree of sig = sigma_table(bound) and table = partition_table(bound).
-
-    Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of their
-    series product with P is exactly the sum over 1 <= k <= n.
-    """
-    return series_product(_weights(a, sig), table)
-
-
 def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float]:
     """psi(exponent, n) as floats at every degree of sig and table (slot 0 is unused).
 
@@ -322,7 +313,9 @@ def bound_report(n_max: int) -> BoundReport:
     }
     table = partition_table(n_max)
     sig = sigma_table(n_max)
-    psis = {a_exp: _psi_series(a_exp, sig, table) for a_exp in (0, 1, 2)}
+    # Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of their
+    # series product with P is psi_a(n), the sum over 1 <= k <= n.
+    psis = {a_exp: series_product(_weights(a_exp, sig), table) for a_exp in (0, 1, 2)}
     psi_eps = _psi_floats(2 - EPSILON, sig, table)
     # t is non-negative, so count_b at every degree is one series product.
     counts_b = series_product(_t_table(sig), table)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import combinations
 from math import gcd
 
 from permcensus import groups
@@ -251,28 +252,15 @@ def twist_count(a: int, b: int, k: int, ell: int) -> int:
 def lattice_generates_z2(vectors) -> bool:
     """Whether the integer span of the given integer 2-vectors is all of Z^2.
 
-    Hermite reduction: fold each vector into a row-echelon pair
-    [[a, b], [0, c]] with a >= 0; the span is Z^2 exactly when a = c = 1.
-    Fewer than two independent vectors never suffice.  A vector (x, y)
-    with x > 0 (negate it if x < 0) folds into the first row through
-    u*a + v*x = g = gcd(a, x): u is the inverse of a/g modulo x/g, and
-    the row (x/g)*(a, b) - (a/g)*(x, y) = (0, leftover) joins c.  Every
-    entry passes through math.gcd, which raises TypeError on a
-    non-integer entry instead of truncating it.
+    The span's index in Z^2 is the gcd of the 2x2 minors of the vectors (0
+    when they have rank below 2), so the span is Z^2 exactly when that gcd
+    is 1.  Every entry passes through math.gcd, which raises TypeError on a
+    non-integer entry instead of truncating it, also when there is no minor.
     """
-    a = b = c = 0
+    vectors = list(vectors)
     for x, y in vectors:
-        if not x:
-            c = gcd(c, x, y)
-            continue
-        if x < 0:
-            x, y = -x, -y
-        if not a:
-            a, b = x, y
-            continue
-        g = gcd(a, x)
-        a_g, x_g = a // g, x // g
-        u = pow(a_g, -1, x_g)
-        a, b, c = g, u * b + (g - u * a) // x * y, gcd(c, x_g * b - a_g * y)
-    gcd(a, b)  # the first row's entries have passed through no gcd yet
-    return a == c == 1
+        gcd(x, y)
+    g = 0
+    for (x1, y1), (x2, y2) in combinations(vectors, 2):
+        g = gcd(g, x1 * y2 - x2 * y1)
+    return g == 1

@@ -100,9 +100,9 @@ def _suite_identities(max_n: int) -> _Checks:
     # coefficient n = n P(n).
     part_bound = 2000
     table = partitions.partition_table(part_bound)
-    conv = arith.series_product(sig1[: part_bound + 1], table)
+    sigma_p = arith.series_product(sig1[: part_bound + 1], table)
     yield (f"partition convolution identity (n <= {part_bound})",
-           all(conv[n] == n * table[n] for n in range(1, part_bound + 1)))
+           all(sigma_p[n] == n * table[n] for n in range(1, part_bound + 1)))
 
 
 def _matches_ramanujan(conv: list[int], order: str, sig1: list[int], sig3: list[int],

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permcensus import census
-from permcensus.arith import jordan_totient, primes_up_to, series_product, sigma_k, sigma_table
+from permcensus.arith import factorize, jordan_totient, primes_up_to, series_product, sigma_k, sigma_table
 from permcensus.census import (
     bound_report,
     build_tables,
@@ -125,9 +125,26 @@ def test_psi_sweeps_of_bound_report_match_psi():
     bound = 400
     sig, table = sigma_table(bound), partition_table(bound)
     for a in (0, 1, 2):
-        assert census._psi_series(a, sig, table)[1:] == [psi(a, n) for n in range(1, bound + 1)]
+        psis = series_product(census._weights(a, sig), table)
+        assert psis[1:] == [psi(a, n) for n in range(1, bound + 1)]
     # bit for bit, so the epsilon failures cannot move
     assert census._psi_floats(1.5, sig, table)[1:] == [psi(1.5, n) for n in range(1, bound + 1)]
+
+
+def test_a_cycles_run_keeps_the_factorize_memo_bounded():
+    """A run over more degrees than the memo holds leaves it at its bound and loses no hit.
+
+    A cycles row factorizes its degree once and reads it back three times.
+    """
+    maxsize = factorize.cache_info().maxsize
+    assert maxsize is not None
+    factorize.cache_clear()
+    for _ in rows("cycles", range(3, 2 * maxsize + 3)):
+        pass
+    info = factorize.cache_info()
+    assert info.misses == 2 * maxsize
+    assert info.hits == 3 * info.misses
+    assert info.currsize <= maxsize
 
 
 def test_census_row_and_probabilities():

@@ -450,7 +450,8 @@ def test_no_module_state_grows_during_a_run():
 
     The probe measures only plain lists, dicts and sets bound at module level.
     It does not see functools caches: the lru_cache memos of arith.factorize
-    and characters._strip_recursion grow during a run and are not reported.
+    (bounded at 1024 entries, see test_census) and characters._strip_recursion
+    grow during a run and are not reported.
     """
     result = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -1,7 +1,7 @@
 """Cylinder builders and classifiers, primitivity criteria, twist and triple counts."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, gcd
 
 import pytest
@@ -219,8 +219,8 @@ def test_lattice_examples():
         assert lattice_generates_z2(vectors) == reference_lattice_generates_z2(vectors)
 
 
-def test_lattice_folds_a_negative_leading_entry():
-    # A vector with x < 0 after the first row once made the fold's gcd -1.
+def test_lattice_spans_with_a_negative_leading_entry():
+    # A vector with x < 0 after the first row once made the Hermite fold's gcd -1.
     assert lattice_generates_z2([(1, 0), (-1, 0), (0, 1)])
     assert lattice_generates_z2([(-1, 0), (0, 1)])
     assert lattice_generates_z2([(0, -1), (-1, 5)])
@@ -231,11 +231,20 @@ def test_lattice_folds_a_negative_leading_entry():
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=5))
 @example([(-2, 9), (-6, 1), (-9, -9), (-9, 8), (-9, 3)])
 def test_lattice_matches_the_gcd_of_its_minors(vectors):
-    """The span is Z^2 exactly when the 2x2 minors of the vectors have gcd 1."""
-    minors = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(vectors, 2)]
-    expected = gcd(0, *minors) == 1
+    """The span is Z^2 exactly when the 2x2 minors have gcd 1, as Hermite reduction says."""
+    expected = reference_lattice_generates_z2(vectors)
     assert lattice_generates_z2(vectors) == expected
-    assert reference_lattice_generates_z2(vectors) == expected
+    minors = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(vectors, 2)]
+    assert expected == (gcd(0, *minors) == 1)
+
+
+def test_lattice_matches_the_hermite_reference_on_every_small_list():
+    """Every list of at most 3 vectors with entries in -2..2, in every order."""
+    entries = range(-2, 3)
+    vectors = [(x, y) for x in entries for y in entries]
+    for size in range(4):
+        for chosen in product(vectors, repeat=size):
+            assert lattice_generates_z2(chosen) == reference_lattice_generates_z2(chosen), chosen
 
 
 @pytest.mark.parametrize("vectors", [

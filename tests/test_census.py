@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permcensus import census
-from permcensus.arith import factorize, jordan_totient, primes_up_to, series_product, sigma_k, sigma_table
+from permcensus.arith import (
+    factorize,
+    jordan_totient,
+    primes_up_to,
+    series_product,
+    sigma_k,
+    sigma_table,
+)
 from permcensus.census import (
     bound_report,
     build_tables,

@@ -22,8 +22,10 @@ columns COLUMNS[layout]; counts are integers and ratios exact Fractions:
   main    n  a  b  proba                   proba = P(n) a / (n b)
   cycles  n  a1 b1 proba1 a2 b2 proba2     proba1 = a1/b1, proba2 = n a2/b2
 
-Each row computes only the counts its layout prints.  limit_diagnostics
-reads its p1, p2 and pa values off these ratio columns.
+Each row computes only the counts its layout prints.  A main run builds
+t up to its largest degree first and draws P from
+partitions.partition_numbers() only as far as each row needs.
+limit_diagnostics reads its p1, p2 and pa values off these ratio columns.
 
 All formulas are exact integer arithmetic with explicit divisibility
 checks; a non-integer intermediate would indicate a programming error,
@@ -39,7 +41,7 @@ from fractions import Fraction
 from math import comb
 
 from permcensus.arith import jordan_totient, series_product, sigma_table
-from permcensus.partitions import partition_table
+from permcensus.partitions import partition_numbers, partition_table
 
 
 def _check_degree(n: int) -> None:
@@ -82,19 +84,6 @@ def count_a2(n: int) -> int:
     return count_a1(n) + (n + 1) * (n - 2) // 2
 
 
-# The tables count_b reads, as tuples over 0..bound: P(k) and t(k).
-Tables = namedtuple("Tables", "p t")
-
-
-def build_tables(bound: int) -> Tables:
-    """Build the tables count_b reads up to degree bound, once.
-
-    A census over a range builds them for its last degree and passes them
-    to every row.
-    """
-    return Tables(tuple(partition_table(bound)), _t_table(sigma_table(bound)))
-
-
 def _t_table(sig: list[int]) -> tuple[int, ...]:
     """t(k) = 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8 for every k of sig = sigma_table(bound).
 
@@ -113,21 +102,22 @@ def _weights(a: int, sig: list[int]) -> list[int]:
     return [k**a * s for k, s in enumerate(sig)]
 
 
-def count_b(n: int, tables: Tables | None = None) -> int:
+def count_b(n: int, tables: tuple | None = None) -> int:
     """All pairs with 3-cycle commutator, over n!: (t * P)(n) = sum_k t(k) P(n-k).
 
     The sum runs over 1 <= k <= n.  It equals the paper's
     (3/8) [ sum_k sigma_3(k) P(n-k) - 2 sum_k k sigma(k) P(n-k) + n P(n) ]
-    because n P(n) = sum_k sigma(k) P(n-k).  tables must reach degree n;
-    without them count_b builds build_tables(n).
+    because n P(n) = sum_k sigma(k) P(n-k).  tables is the pair (P, t) of
+    sequences that reach degree n; without it count_b builds both up to n.
     """
     _check_degree(n)
     if tables is None:
-        tables = build_tables(n)
+        tables = partition_table(n), _t_table(sigma_table(n))
+    p, t = tables
     # map() would stop short without a word on a table that ends before n.
-    if min(map(len, tables)) <= n:
+    if min(len(p), len(t)) <= n:
         raise ArithmeticError(f"a table ends before {n} (this is a bug)")
-    return sum(map(operator.mul, tables.t[1 : n + 1], tables.p[n - 1 :: -1]))
+    return sum(map(operator.mul, t[1 : n + 1], p[n - 1 :: -1]))
 
 
 def count_a(n: int) -> int:
@@ -215,29 +205,24 @@ COLUMNS = {
 }
 
 
-# A main run first builds the tables up to this degree, so its first rows
-# do not wait for the tables of a wide range.  The default census (3..255)
-# stays within it and builds one set of tables.
-_HEAD = 256
-
-
 def rows(layout: str, degrees):
-    """Yield the row of layout at each degree of degrees (a range or a list), in order.
+    """Yield the row of layout at each degree of degrees (any iterable), in order.
 
-    Each row is computed when it is asked for.  A main run builds the
-    tables up to min(largest degree, 256) before its first row, and the
-    tables for the largest degree only when a row past them is asked for;
-    a cycles run builds none.  An unknown layout raises ValueError when
+    Each row is computed when it is asked for.  A main run builds the t
+    table up to its largest degree before its first row, and draws P(0),
+    P(1), ... from partition_numbers() only as far as each row needs; a
+    cycles run builds no table.  An unknown layout raises ValueError when
     iteration starts.
     """
     if layout == "main":
-        last = max(degrees, default=0)
-        tables = build_tables(min(last, _HEAD))
+        degrees = list(degrees)
+        t = _t_table(sigma_table(max(degrees, default=0)))
+        stream, p = partition_numbers(), []
         for n in degrees:
-            if n >= len(tables.p):
-                tables = build_tables(last)
-            a, b = count_a(n), count_b(n, tables)
-            yield n, a, b, Fraction(tables.p[n] * a, n * b)
+            while len(p) <= n:
+                p.append(next(stream))
+            a, b = count_a(n), count_b(n, (p, t))
+            yield n, a, b, Fraction(p[n] * a, n * b)
     elif layout == "cycles":
         for n in degrees:
             a1, b1 = count_a1(n), count_b1(n)
@@ -266,7 +251,7 @@ def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
         raise ValueError(f"unknown diagnostic {kind!r}; expected p1, p2 or pa")
     layout, column = _DIAGNOSTICS[kind]
     i = COLUMNS[layout].index(column)
-    return [DiagnosticPoint(row[0], row[i]) for row in rows(layout, list(degrees))]
+    return [DiagnosticPoint(row[0], row[i]) for row in rows(layout, degrees)]
 
 
 class BoundReport(namedtuple("BoundReport", "n_max epsilon strict_failures epsilon_failures")):

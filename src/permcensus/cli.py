@@ -4,8 +4,8 @@ census.rows computes each row of a layout (census.COLUMNS names its
 columns); this module renders its exact ratios with six significant
 digits, as plain, csv or jsonl lines.  Each row is written as soon as it
 is computed, so `census --to 10000 | head -1` does not wait for the rest
-of the range, nor for its tables: census.rows builds the tables of the
-whole range only when the first row past degree 256 is asked for.
+of the range: before the first row, census.rows runs only the sigma
+sieves of the whole range, and each row draws P only up to its degree.
 Exit codes: 0 success, 1 verification failure or failed write, 2 usage
 error, whether or not stderr can be written (warn skips a failed line).
 

@@ -3,50 +3,47 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import count, islice
+
+
+def partition_numbers() -> Iterator[int]:
+    """Yield P(0), P(1), P(2), ... without end, by the pentagonal-number recurrence.
+
+    P(n) = sum over the generalized pentagonal numbers g = j(3j -+ 1)/2 <= n
+    of +-P(n - g), the sign + for odd j and - for even j.  The offsets come
+    in ascending order, at most one per n, and each n takes in the offset
+    equal to n, so its loops run over the offsets <= n.
+    """
+    table = [1]
+    yield 1
+    offsets = _pentagonal_offsets()
+    g, positive = next(offsets)
+    active_plus, active_minus = [], []
+    for n in count(1):
+        if g == n:
+            (active_plus if positive else active_minus).append(g)
+            g, positive = next(offsets)
+        total = 0
+        for g_plus in active_plus:
+            total += table[n - g_plus]
+        for g_minus in active_minus:
+            total -= table[n - g_minus]
+        table.append(total)
+        yield total
+
+
+def _pentagonal_offsets() -> Iterator[tuple[int, bool]]:
+    """Yield (j(3j - 1)/2, j odd) and (j(3j + 1)/2, j odd) for j = 1, 2, ..., ascending."""
+    for j in count(1):
+        yield j * (3 * j - 1) // 2, j % 2 == 1
+        yield j * (3 * j + 1) // 2, j % 2 == 1
 
 
 def partition_table(bound: int) -> list[int]:
-    """P(0..bound) as a new list, built by the pentagonal-number recurrence.
-
-    P(n) = sum over the generalized pentagonal numbers g = j(3j -+ 1)/2 <= n
-    of +-P(n - g), the sign + for odd j and - for even j.  The offsets up
-    to bound are listed once, split by sign into two ascending lists; each
-    n takes in the offset equal to n, so its loops run over the offsets <= n.
-    """
+    """P(0..bound) as a new list: the first bound + 1 values of partition_numbers()."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    table = [1]
-    plus, minus = (offsets + [bound + 1] for offsets in _pentagonal_offsets(bound))  # sentinels
-    active_plus, active_minus = [], []
-    for n in range(1, bound + 1):
-        if plus[len(active_plus)] == n:
-            active_plus.append(n)
-        if minus[len(active_minus)] == n:
-            active_minus.append(n)
-        total = 0
-        for g in active_plus:
-            total += table[n - g]
-        for g in active_minus:
-            total -= table[n - g]
-        table.append(total)
-    return table
-
-
-def _pentagonal_offsets(top: int) -> tuple[list[int], list[int]]:
-    """The offsets j(3j - 1)/2 and j(3j + 1)/2 of every j with j(3j - 1)/2 <= top.
-
-    They come as two ascending lists: those of odd j (sign +), then those
-    of even j (sign -).
-    """
-    plus: list[int] = []
-    minus: list[int] = []
-    j = 1
-    while j * (3 * j - 1) // 2 <= top:
-        offsets = plus if j % 2 else minus
-        offsets.append(j * (3 * j - 1) // 2)
-        offsets.append(j * (3 * j + 1) // 2)
-        j += 1
-    return plus, minus
+    return list(islice(partition_numbers(), bound + 1))
 
 
 def partition_count(n: int) -> int:

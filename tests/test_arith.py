@@ -316,7 +316,7 @@ COEFFICIENTS = st.one_of(st.integers(0, 9), st.integers(10**80, 10**100))
 @example(([0] * 5, [3, 1, 4, 1, 5]))
 @example(([9] * 3, [9] * 3))  # the top coefficient, 243, fills its slot
 @example(([10**100] * 4, [10**100 - 1] * 4))
-@example(((3, 1, 4, 1, 5), (2, 7, 1, 8, 2)))  # Tables passes tuples
+@example(((3, 1, 4, 1, 5), (2, 7, 1, 8, 2)))  # census._t_table is a tuple
 @example(([10**60 + 7, 0, 10**61 - 1, 5], [10**59, 3, 10**60 + 1, 10**61]))  # 123-digit slots
 def test_series_product_matches_double_loop(pair):
     f, g = pair
@@ -326,7 +326,7 @@ def test_series_product_matches_double_loop(pair):
 @given(st.lists(COEFFICIENTS, min_size=1, max_size=40))
 @example([9] * 3)  # the top coefficient, 243, fills its slot
 @example([10**100 - 1] * 4)
-@example((3, 1, 4, 1, 5))  # Tables passes tuples
+@example((3, 1, 4, 1, 5))  # census._t_table is a tuple
 @example([10**60 + 7, 0, 10**61 - 1, 5])
 def test_series_product_of_one_series_with_itself(f):
     assert series_product(f, f) == naive_product(f, f)

@@ -18,8 +18,8 @@ from permcensus.arith import (
     sigma_table,
 )
 from permcensus.census import (
+    _t_table,
     bound_report,
-    build_tables,
     census_row,
     count_a,
     count_a1,
@@ -32,7 +32,7 @@ from permcensus.census import (
     rows,
     significant_digits,
 )
-from permcensus.partitions import partition_count, partition_table
+from permcensus.partitions import partition_count, partition_numbers, partition_table
 
 # (n, b, a, b1, a1, b2, a2) for the first few degrees
 KNOWN_ROWS = [
@@ -248,16 +248,17 @@ def test_rows_reject_an_unknown_layout(degrees):
         next(rows("orbits", degrees))
 
 
-def record_table_bounds(monkeypatch) -> list[int]:
-    """Patch census.build_tables to append each bound it is called with to the returned list."""
-    bounds = []
+def record_partition_numbers_drawn(monkeypatch) -> list[int]:
+    """Patch census.partition_numbers to append each value it yields to the returned list."""
+    drawn = []
 
-    def recording(bound):
-        bounds.append(bound)
-        return build_tables(bound)
+    def recording():
+        for value in partition_numbers():
+            drawn.append(value)
+            yield value
 
-    monkeypatch.setattr(census, "build_tables", recording)
-    return bounds
+    monkeypatch.setattr(census, "partition_numbers", recording)
+    return drawn
 
 
 def main_rows_one_degree_at_a_time(degrees):
@@ -266,26 +267,32 @@ def main_rows_one_degree_at_a_time(degrees):
     return [(n, a, b, Fraction(partition_count(n) * a, n * b)) for n, a, b in counts]
 
 
-def test_a_wide_main_run_builds_the_head_tables_before_its_first_row(monkeypatch):
-    bounds = record_table_bounds(monkeypatch)
+def test_the_first_row_of_a_wide_main_run_draws_no_partition_number_past_its_degree(monkeypatch):
+    drawn = record_partition_numbers_drawn(monkeypatch)
     got = rows("main", range(3, 5001))
     assert next(got)[0] == 3
-    assert bounds == [256]
+    assert drawn == [1, 1, 2, 3]
     assert sum(1 for _ in got) == 4997
-    assert bounds == [256, 5000]
+    assert drawn == partition_table(5000)
 
 
-def test_a_main_run_within_the_head_builds_one_set_of_tables(monkeypatch):
-    bounds = record_table_bounds(monkeypatch)
+def test_a_main_run_draws_partition_numbers_up_to_its_largest_degree(monkeypatch):
+    drawn = record_partition_numbers_drawn(monkeypatch)
     assert len(list(rows("main", range(3, 256)))) == 253
-    assert bounds == [255]
+    assert drawn == partition_table(255)
 
 
 def test_main_rows_in_any_order_match_the_per_degree_counts(monkeypatch):
-    bounds = record_table_bounds(monkeypatch)
+    drawn = record_partition_numbers_drawn(monkeypatch)
     got = list(rows("main", [300, 4, 257]))
-    assert bounds == [256, 300]
+    assert drawn == partition_table(300)
     assert got == main_rows_one_degree_at_a_time([300, 4, 257])
+
+
+@pytest.mark.parametrize("layout", ["main", "cycles"])
+def test_rows_read_a_generator_of_degrees_as_they_read_a_list(layout):
+    degrees = [300, 4, 257, 12]
+    assert list(rows(layout, (n for n in degrees))) == list(rows(layout, degrees))
 
 
 def test_main_rows_across_the_head_match_the_per_degree_counts():
@@ -314,8 +321,8 @@ def test_count_b_matches_the_three_sum_formula():
     bound = 2000
     sig3, table = sigma_table(bound, 3), partition_table(bound)
     ksig = [k * s for k, s in enumerate(sigma_table(bound))]
-    tables = build_tables(bound)
-    series = series_product(tables.t, tables.p)
+    tables = table, _t_table(sigma_table(bound))
+    series = series_product(tables[1], table)
     for n in range(3, bound + 1):
         rev = table[n - 1 :: -1]
         s3 = sum(map(operator.mul, sig3[1 : n + 1], rev))
@@ -324,38 +331,33 @@ def test_count_b_matches_the_three_sum_formula():
         assert formula == count_b(n, tables) == count_b(n) == series[n], n
 
 
-def test_build_tables_are_tuples_of_bound_plus_one_entries():
-    tables = build_tables(300)
-    assert tables._fields == ("p", "t")
-    assert all(type(table) is tuple and len(table) == 301 for table in tables)
-    assert list(tables.p) == partition_table(300)
-    assert tables.t == (0, *(Fraction(3 * (sigma_k(k, 3) - (2 * k - 1) * sigma_k(k, 1)), 8)
-                             for k in range(1, 301)))
-
-
 def test_t_is_a_non_negative_integer_table():
-    """Every t(k) up to 20000 is a non-negative int, so series_product takes t."""
-    t = build_tables(20000).t
+    """Every t(k) up to 20000 is a non-negative int, so series_product takes t.
+
+    Up to 300 each t(k) equals 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8 as a Fraction.
+    """
+    t = _t_table(sigma_table(20000))
+    assert type(t) is tuple and len(t) == 20001
     assert t[:7] == (0, 0, 0, 3, 9, 27, 45)
     assert all(type(value) is int and value >= 0 for value in t)
+    assert t[:301] == (0, *(Fraction(3 * (sigma_k(k, 3) - (2 * k - 1) * sigma_k(k, 1)), 8)
+                            for k in range(1, 301)))
 
 
-def test_build_tables_refuses_a_t_entry_that_is_not_an_integer(monkeypatch):
-    def sigma_off_at_5(bound, k=1):
-        table = sigma_table(bound, k)
-        if k == 1:
-            table[5] += 1
-        return table
-
-    monkeypatch.setattr(census, "sigma_table", sigma_off_at_5)
+def test_t_table_refuses_a_t_entry_that_is_not_an_integer():
+    sig = sigma_table(10)
+    sig[5] += 1
     with pytest.raises(ArithmeticError, match=r"t\(5\) is not an integer"):
-        build_tables(10)
+        _t_table(sig)
 
 
 def test_count_b_refuses_tables_that_end_before_n():
+    short = partition_table(9), _t_table(sigma_table(9))
     with pytest.raises(ArithmeticError, match="before 10"):
-        count_b(10, build_tables(9))
-    assert count_b(9, build_tables(9)) == count_b(9)
+        count_b(10, short)
+    with pytest.raises(ArithmeticError, match="before 10"):
+        count_b(10, (partition_table(10), short[1]))
+    assert count_b(9, short) == count_b(9)
 
 
 def test_significant_digits():

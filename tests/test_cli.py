@@ -381,19 +381,20 @@ def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch):
     assert written.splitlines(keepends=True) == GOLDEN.read_text().splitlines(keepends=True)[:7]
 
 
-def test_census_writes_the_head_rows_before_building_the_whole_range_tables(capsys, monkeypatch):
+def test_census_writes_the_golden_rows_and_row_256_before_drawing_p_257(capsys, monkeypatch):
     from permcensus import census
 
     _, row_256, _ = run_cli(capsys, "census", "--from", "256", "--to", "256")
-    real_build_tables = census.build_tables
+    real_partition_numbers = census.partition_numbers
 
-    def head_only(bound):
-        if bound > 256:
-            raise RuntimeError(f"build_tables({bound}) past the head")
-        return real_build_tables(bound)
+    def up_to_256():
+        for n, value in enumerate(real_partition_numbers()):
+            if n > 256:
+                raise RuntimeError(f"P({n}) drawn")
+            yield value
 
-    monkeypatch.setattr(census, "build_tables", head_only)
-    with pytest.raises(RuntimeError, match=r"build_tables\(5000\)"):
+    monkeypatch.setattr(census, "partition_numbers", up_to_256)
+    with pytest.raises(RuntimeError, match=r"P\(257\) drawn"):
         main(["census", "--to", "5000"])
     written = capsys.readouterr().out
     assert written == GOLDEN.read_text() + row_256
@@ -409,7 +410,8 @@ def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
         raise AssertionError("the cycles layout prints no count_b column")
 
     monkeypatch.setattr(census, "count_b", not_read)
-    monkeypatch.setattr(census, "build_tables", not_read)
+    monkeypatch.setattr(census, "partition_numbers", not_read)
+    monkeypatch.setattr(census, "sigma_table", not_read)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert out == want

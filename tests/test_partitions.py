@@ -1,11 +1,18 @@
 """Partition counting, enumeration and the divisor-sum identity."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from permcensus.arith import sigma_k
-from permcensus.partitions import enumerate_partitions, partition_count, partition_table
+from permcensus.partitions import (
+    enumerate_partitions,
+    partition_count,
+    partition_numbers,
+    partition_table,
+)
 
 # P(1)..P(18)
 SMALL_VALUES = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385)
@@ -34,9 +41,15 @@ def test_rejects_negative():
         partition_count(-1)
 
 
+def stream_prefix(bound):
+    """P(0..bound), the first bound + 1 values of one partition_numbers() stream."""
+    return list(islice(partition_numbers(), bound + 1))
+
+
 def test_pentagonal_recurrence_against_coin_counting():
     for bound in (0, 1, 2, 500):
         assert partition_table(bound) == coin_count_table(bound)
+    assert stream_prefix(500) == coin_count_table(500)
 
 
 def per_n_pentagonal_table(bound):
@@ -56,7 +69,9 @@ def per_n_pentagonal_table(bound):
 
 
 def test_partition_table_matches_per_n_recurrence_through_regrowth():
+    """The stream takes in each pentagonal offset <= 3000 (1, 2, 5, 7, ..., 2882, 2926) on time."""
     reference = per_n_pentagonal_table(3000)
+    assert stream_prefix(3000) == reference
     for bound in (10, 700, 3000):
         table = partition_table(bound)
         assert len(table) == bound + 1

@@ -331,17 +331,24 @@ def test_count_b_matches_the_three_sum_formula():
         assert formula == count_b(n, tables) == count_b(n) == series[n], n
 
 
-def test_t_is_a_non_negative_integer_table():
-    """Every t(k) up to 20000 is a non-negative int, so series_product takes t.
+def test_build_tables_are_tuples_of_bound_plus_one_entries():
+    """The (P, t) pair that count_b takes has bound + 1 entries in each table.
 
-    Up to 300 each t(k) equals 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8 as a Fraction.
+    t is a tuple whose every t(k) equals 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8.
     """
+    p, t = partition_table(300), _t_table(sigma_table(300))
+    assert len(p) == 301 and p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert type(t) is tuple and len(t) == 301
+    assert t == (0, *(Fraction(3 * (sigma_k(k, 3) - (2 * k - 1) * sigma_k(k, 1)), 8)
+                      for k in range(1, 301)))
+
+
+def test_t_is_a_non_negative_integer_table():
+    """Every t(k) up to 20000 is a non-negative int, so series_product takes t."""
     t = _t_table(sigma_table(20000))
     assert type(t) is tuple and len(t) == 20001
     assert t[:7] == (0, 0, 0, 3, 9, 27, 45)
     assert all(type(value) is int and value >= 0 for value in t)
-    assert t[:301] == (0, *(Fraction(3 * (sigma_k(k, 3) - (2 * k - 1) * sigma_k(k, 1)), 8)
-                            for k in range(1, 301)))
 
 
 def test_t_table_refuses_a_t_entry_that_is_not_an_integer():

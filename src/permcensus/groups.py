@@ -5,13 +5,14 @@ tuple as in perm: entry x - 1 is the image of the point x, points are
 1-based, and a perm.Permutation (the validated parse/print type) serves
 as well as a plain tuple.  generated() builds such a group and checks
 it; the routines here read the group's degree off its first generator.
-The 3-cycle certificate of jordan_route comes from perm.three_cycle.
+The 3-cycle certificate of jordan_route comes from perm.three_cycle;
+group_order builds Knuth's Sims table, up to degree MAX_ORDER_DEGREE.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import factorial
+from math import factorial, prod
 
 from permcensus.perm import compose, inverse, signature, three_cycle
 
@@ -19,7 +20,8 @@ ALT = "alt"
 SYM = "sym"
 NEITHER = "neither"
 
-# group_order refuses larger degrees: the chain is meant for desk-scale checks.
+# group_order refuses larger degrees (its Sims table is for desk-scale checks),
+# and so does order_route, the fallback of generates_alt_or_sym.
 MAX_ORDER_DEGREE = 10
 
 Group = tuple[Sequence[int], ...]
@@ -108,86 +110,50 @@ def is_primitive(group: Group) -> bool:
 
 
 def group_order(group: Group) -> int:
-    """Exact order of the group via a stabilizer chain with base 1, 2, ..., n.
+    """Exact order of the group from Knuth's Sims table with base 1, 2, ..., n.
 
-    Deterministic Schreier-Sims: each level i holds the generators fixing
-    the points 1..i and a transversal for the orbit of i+1; new Schreier
-    generators are sifted down the chain until everything stabilizes.
-    The order is the product of the orbit sizes.  Degrees above
-    MAX_ORDER_DEGREE are refused.
+    Level k holds the generators added there, which fix 1..k, and a
+    transversal: for each image x of k + 1 under them, one element taking
+    k + 1 to x.  add_generator(k, g) ignores a g that sifts through the
+    levels from k on, and otherwise records g and extends level k by g
+    times each entry.  extend(k, g) files g under its image of k + 1 and
+    extends by each level-k generator times g, or, when that image is
+    filed, adds the filed entry's inverse times g to level k + 1 (D. E.
+    Knuth, Combinatorica 11, 1991).  The order is the product of the
+    transversal sizes.  Degrees above MAX_ORDER_DEGREE are refused.
     """
     n = len(group[0])
     if n > MAX_ORDER_DEGREE:
         raise ValueError(f"degree {n} exceeds the cap {MAX_ORDER_DEGREE}")
     ident = tuple(range(1, n + 1))
-    level_gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    transversals: list[dict[int, tuple[int, ...]]] = [{i + 1: ident} for i in range(n)]
+    gens: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    table: list[dict[int, tuple[int, ...]]] = [{k + 1: ident} for k in range(n)]
 
-    def rebuild_orbit(i: int) -> None:
-        base = i + 1
-        trans = {base: ident}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                rep = trans[pt]
-                for g in level_gens[i]:
-                    img = g[pt - 1]
-                    if img not in trans:
-                        trans[img] = compose(g, rep)
-                        nxt.append(img)
-            frontier = nxt
-        transversals[i] = trans
+    def add_generator(k: int, g: Sequence[int]) -> None:
+        residue = g
+        for level in range(k, n):
+            rep = table[level].get(residue[level])
+            if rep is None:
+                break
+            residue = compose(inverse(rep), residue)
+        else:
+            return
+        gens[k].append(g)
+        for rep in list(table[k].values()):
+            extend(k, compose(g, rep))
 
-    def sift_from(p: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
-        """Strip p through levels >= start; (residue, level it got stuck at)."""
-        residue = p
-        i = start
-        while i < n:
-            x = residue[i]
-            if x == i + 1:
-                i += 1
-                continue
-            trans = transversals[i]
-            if x not in trans:
-                return residue, i
-            residue = compose(inverse(trans[x]), residue)
-            i += 1
-        return residue, n
-
-    def complete(i: int) -> None:
-        """Re-close level i: every Schreier generator must sift to the identity.
-
-        A residue stuck at a deeper level fixes the base points 1..stuck,
-        so it joins the generator lists of every level in between; those
-        levels are then re-closed deepest-first before the sweep goes on.
-        """
-        rebuild_orbit(i)
-        trans = transversals[i]
-        for pt in sorted(trans):
-            rep = trans[pt]
-            for g in level_gens[i]:
-                target = trans[g[pt - 1]]
-                schreier = compose(inverse(target), compose(g, rep))
-                if schreier == ident:
-                    continue
-                residue, stuck = sift_from(schreier, i + 1)
-                if stuck == n:
-                    continue
-                for j in range(i + 1, stuck + 1):
-                    level_gens[j].append(residue)
-                for j in range(stuck, i, -1):
-                    complete(j)
+    def extend(k: int, g: tuple[int, ...]) -> None:
+        rep = table[k].get(g[k])
+        if rep is not None:
+            add_generator(k + 1, compose(inverse(rep), g))
+            return
+        table[k][g[k]] = g
+        for s in gens[k]:
+            extend(k, compose(s, g))
 
     for g in group:
-        if g != ident:
-            level_gens[0].append(g)
-    complete(0)
-
-    order = 1
-    for trans in transversals:
-        order *= len(trans)
-    return order
+        add_generator(0, g)
+    return prod(map(len, table))
 
 
 def element_closure(group: Group) -> frozenset[tuple[int, ...]]:
@@ -238,7 +204,10 @@ def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
 
 
 def order_route(s: Sequence[int], t: Sequence[int]) -> str:
-    """Classify <s, t> purely by its order: n! -> sym, n!/2 -> alt."""
+    """Classify <s, t> purely by its order: n! -> sym, n!/2 -> alt.
+
+    Degree must be at least 3 and at most MAX_ORDER_DEGREE (group_order's cap).
+    """
     n = _common_degree(s, t)
     order = group_order((s, t))
     full = factorial(n)
@@ -254,7 +223,8 @@ def generates_alt_or_sym(s: Sequence[int], t: Sequence[int]) -> str:
 
     Degree must be at least 3.  The 3-cycle certificate route answers
     almost every input arising here (the pairs of interest have 3-cycle
-    commutators); the stabilizer-chain order decides the rest.
+    commutators); the order from group_order decides the rest, so a
+    primitive pair without one raises ValueError above MAX_ORDER_DEGREE.
     """
     answer = jordan_route(s, t)
     if answer is not None:

@@ -282,6 +282,25 @@ def test_failed_write_is_one_line_and_exit_1(argv):
         "permcensus: cannot write output: [Errno 28] No space left on device")
 
 
+def limit_address_space():
+    """Cap the child's address space at 1 GiB, so an infeasible range fails fast."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_AS on this system")
+@pytest.mark.parametrize("argv", [("census", "--from", "1000000000000", "--to", "1000000000000"),
+                                  ("census", "--to", "1000000000000")])
+def test_out_of_memory_is_one_line_and_exit_1(argv):
+    result = subprocess.run([sys.executable, "-m", "permcensus", *argv], capture_output=True,
+                            text=True, preexec_fn=limit_address_space)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "permcensus: out of memory: census needs more than this process may use\n")
+
+
 @pytest.mark.parametrize("argv", [("census", "--to", "5"),
                                   ("verify", "--suites", "characters", "--max-n", "3")])
 def test_closed_stdout_is_one_line_and_exit_1(argv):

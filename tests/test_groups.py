@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from permcensus.groups import (
     ALT,
+    MAX_ORDER_DEGREE,
     NEITHER,
     SYM,
     _merge_closure,
@@ -200,11 +201,10 @@ def test_group_order_degree_cap():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6), st.data())
-def test_group_order_matches_element_closure(n, data):
-    s = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
-    t = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
-    group = generated(s, t)
+@given(st.integers(2, 7), st.integers(1, 3), st.data())
+def test_group_order_matches_element_closure(n, count, data):
+    group = generated(*(Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+                        for _ in range(count)))
     assert group_order(group) == len(element_closure(group))
 
 
@@ -272,6 +272,22 @@ def test_routes_agree_on_class_representatives(n):
 
 
 def test_order_route_full_symmetric_groups():
-    for n in range(3, 8):
+    for n in range(3, MAX_ORDER_DEGREE + 1):
         group = gen(n, "(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")")
         assert group_order(group) == factorial(n)
+        assert 2 * group_order(gen(n, *(f"(1 2 {k})" for k in range(3, n + 1)))) == factorial(n)
+    n = MAX_ORDER_DEGREE
+    transpositions = [f"({i} {j})" for i, j in itertools.combinations(range(1, n + 1), 2)]
+    assert group_order(gen(n, *transpositions)) == factorial(n)
+
+
+def test_generation_above_the_order_cap_needs_a_three_cycle_commutator():
+    n = MAX_ORDER_DEGREE + 1
+    cycle = parse_cycles("(" + " ".join(map(str, range(1, n + 1))) + ")", n)
+    # [cycle, (1 2)] is a 3-cycle; [cycle, (1 3)] = (2 4)(1 3) is not, and
+    # <cycle, (1 3)> is primitive (prime degree), so only its order could decide.
+    assert generates_alt_or_sym(cycle, parse_cycles("(1 2)", n)) == SYM
+    with pytest.raises(ValueError, match=f"degree {n} exceeds the cap {MAX_ORDER_DEGREE}"):
+        generates_alt_or_sym(cycle, parse_cycles("(1 3)", n))
+    with pytest.raises(ValueError, match=f"degree {n} exceeds the cap {MAX_ORDER_DEGREE}"):
+        order_route(cycle, parse_cycles("(1 2)", n))

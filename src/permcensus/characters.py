@@ -1,9 +1,10 @@
-"""Irreducible characters of symmetric groups via border-strip recursion."""
+"""Irreducible characters of symmetric groups: border strips, then Frobenius's formula."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
+from math import factorial, prod
 
 from permcensus.partitions import enumerate_partitions
 
@@ -19,7 +20,8 @@ def character_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     Both arguments are partitions of the same n; lam must be
     nonincreasing, mu may come in any order.  Evaluated by the
     border-strip recursion: strip a part of mu from lam along the rim in
-    every legal way, weight each removal by (-1)^height, and recurse.
+    every legal way, weight each removal by (-1)^height, and recurse until
+    only unit parts are left.
     """
     lam = tuple(lam)
     mu = tuple(sorted(mu, reverse=True))
@@ -33,16 +35,19 @@ def character_value(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return _strip_recursion(frozenset(part + m - 1 - i for i, part in enumerate(lam)), mu)
 
 
-@lru_cache(maxsize=None)
 def _strip_recursion(beta: frozenset[int], mu: tuple[int, ...]) -> int:
     """Border-strip evaluation on first-column hook lengths (beta numbers).
 
     beta holds lam_i + (m - 1 - i) for the m parts of lam; removing a strip
     of length r means lowering one of them by r onto a number not in the
-    set, and the sign counts the entries jumped over.
+    set, and the sign counts the entries jumped over.  Once mu (nonincreasing)
+    has only unit parts, the value is the number of standard tableaux of the
+    shape left, by Frobenius's formula |mu|! prod(b - c) / prod(b!) over the
+    pairs b > c of beta.
     """
-    if not mu:
-        return 1
+    if not mu or mu[0] == 1:
+        pairs = combinations(sorted(beta, reverse=True), 2)
+        return factorial(len(mu)) * prod(b - c for b, c in pairs) // prod(map(factorial, beta))
     r, rest = mu[0], mu[1:]
     total = 0
     for b in beta:
@@ -83,10 +88,5 @@ def frobenius_threecycle_sum(n: int) -> Fraction:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     three_cycle = (3,) + (1,) * (n - 3)
-    ident = (1,) * n
-    total = Fraction(0)
-    for lam in young_diagrams(n):
-        total += Fraction(
-            character_value(lam, three_cycle), character_value(lam, ident)
-        )
-    return total
+    return sum(Fraction(character_value(lam, three_cycle), dimension(lam))
+               for lam in young_diagrams(n))

@@ -1,4 +1,4 @@
-"""Symmetric-group character values from the border-strip recursion."""
+"""Symmetric-group character values from border strips and Frobenius's formula."""
 
 from fractions import Fraction
 from math import factorial
@@ -66,7 +66,7 @@ def test_trivial_and_sign_characters():
 
 
 def test_dimension_matches_hook_lengths():
-    for n in range(1, 8):
+    for n in range(1, 13):
         for lam in young_diagrams(n):
             assert dimension(lam) == hook_length_dimension(lam)
 
@@ -110,6 +110,17 @@ def test_frobenius_threecycle_sum_small():
 
 def test_frobenius_identity_counts_commutator_pairs():
     """|three-cycle class| times the character sum equals the pair count over n!."""
-    for n in range(3, 8):
+    for n in range(3, 21):
         class_size = n * (n - 1) * (n - 2) // 3
         assert class_size * frobenius_threecycle_sum(n) == count_b(n)
+
+
+def test_threecycle_central_character():
+    """The 3-cycle class sum acts on the irrep lam as sum(c^2) - C(n, 2), c = j - i the contents."""
+    for n in range(3, 15):
+        class_size = n * (n - 1) * (n - 2) // 3
+        three_cycle = (3,) + (1,) * (n - 3)
+        for lam in young_diagrams(n):
+            contents = sum((j - i) ** 2 for i, row in enumerate(lam) for j in range(row))
+            assert (class_size * character_value(lam, three_cycle)
+                    == (contents - n * (n - 1) // 2) * dimension(lam))

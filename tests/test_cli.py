@@ -1,8 +1,10 @@
 """Command-line interface: output formats, argument handling, verify suites."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import permcensus
 from permcensus.cli import SUITE_NAMES, build_parser, main
 
 GOLDEN = Path(__file__).parent / "data" / "census_main.golden"
@@ -470,9 +473,8 @@ def test_no_module_state_grows_during_a_run():
     """Tables are built per run; no module-level list, dict or set keeps them.
 
     The probe measures only plain lists, dicts and sets bound at module level.
-    It does not see functools caches: the lru_cache memos of arith.factorize
-    (bounded at 1024 entries, see test_census) and characters._strip_recursion
-    grow during a run and are not reported.
+    It does not see functools caches; the one the package has, the bounded
+    memo of arith.factorize, is pinned by the test below.
     """
     result = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -480,3 +482,13 @@ def test_no_module_state_grows_during_a_run():
     assert report["codes"] == [0, 0]
     assert report["sizes"] > 0
     assert report["grown"] == []
+
+
+def test_the_only_module_cache_is_the_bounded_factorize_memo():
+    """Every module-level object of the package with cache_info, and its maxsize."""
+    modules = [importlib.import_module("permcensus." + info.name)
+               for info in pkgutil.iter_modules(permcensus.__path__) if info.name != "__main__"]
+    caches = {f"{value.__module__}.{value.__qualname__}": value.cache_info().maxsize
+              for module in modules for value in vars(module).values()
+              if hasattr(value, "cache_info")}
+    assert caches == {"permcensus.arith.factorize": 1024}

@@ -92,3 +92,11 @@ def test_every_suite_name_has_a_suite():
     from permcensus import cli, verify
 
     assert tuple(verify._SUITES) == cli.SUITE_NAMES
+
+
+def test_largest_max_n_choice_is_the_oracle_cap():
+    from permcensus import cli, oracle
+
+    verify_parser = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+    max_n = next(a for a in verify_parser._actions if a.dest == "max_n")
+    assert max(max_n.choices) == oracle._MAX_DEGREE

@@ -15,11 +15,9 @@ import struct
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 
-@lru_cache(maxsize=1024)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending."""
     if n < 1:

@@ -60,10 +60,11 @@ def _suite_identities(max_n: int) -> _Checks:
         "id3": arith.ArithSeq.tabulate(lambda n: n**3, bound),
         "mu": arith.ArithSeq.tabulate(arith.moebius, bound),
         "eps": arith.ArithSeq.tabulate(lambda n: int(n == 1), bound),
-        "tau": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 0), bound),
-        "sigma1": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 1), bound),
-        "sigma3": arith.ArithSeq.tabulate(lambda n: arith.sigma_k(n, 3), bound),
-        "phi": arith.ArithSeq.tabulate(arith.euler_phi, bound),
+        # The sieves census.rows reads; their slot 0 is ArithSeq's padding.
+        "tau": arith.ArithSeq(tuple(arith.sigma_table(bound, 0))),
+        "sigma1": arith.ArithSeq(tuple(arith.sigma_table(bound, 1))),
+        "sigma3": arith.ArithSeq(tuple(arith.sigma_table(bound, 3))),
+        "phi": arith.ArithSeq(tuple(arith.totient_table(bound))),
         "j2": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 2), bound),
         "j3": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 3), bound),
     }

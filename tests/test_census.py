@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from permcensus import census
 from permcensus.arith import (
-    factorize,
+    ArithSeq,
+    dirichlet_convolve,
     jordan_totient,
     primes_up_to,
     series_product,
@@ -136,22 +137,6 @@ def test_psi_sweeps_of_bound_report_match_psi():
         assert psis[1:] == [psi(a, n) for n in range(1, bound + 1)]
     # bit for bit, so the epsilon failures cannot move
     assert census._psi_floats(1.5, sig, table)[1:] == [psi(1.5, n) for n in range(1, bound + 1)]
-
-
-def test_a_cycles_run_keeps_the_factorize_memo_bounded():
-    """A run over more degrees than the memo holds leaves it at its bound and loses no hit.
-
-    A cycles row factorizes its degree once and reads it back three times.
-    """
-    maxsize = factorize.cache_info().maxsize
-    assert maxsize is not None
-    factorize.cache_clear()
-    for _ in rows("cycles", range(3, 2 * maxsize + 3)):
-        pass
-    info = factorize.cache_info()
-    assert info.misses == 2 * maxsize
-    assert info.hits == 3 * info.misses
-    assert info.currsize <= maxsize
 
 
 def test_census_row_and_probabilities():
@@ -349,6 +334,20 @@ def test_t_is_a_non_negative_integer_table():
     assert type(t) is tuple and len(t) == 20001
     assert t[:7] == (0, 0, 0, 3, 9, 27, 45)
     assert all(type(value) is int and value >= 0 for value in t)
+
+
+def test_t_is_sigma_convolved_with_the_generating_counts():
+    """t = sigma * A, a Dirichlet convolution, at every degree up to 3000.
+
+    A(n) = count_a(n) for n >= 3 and A(1) = A(2) = 0; for example
+    t(8) = sigma(1) A(8) + sigma(2) A(4) = 108 + 27 = 135.
+    """
+    bound = 3000
+    sig = sigma_table(bound)
+    a = ArithSeq((0, 0, 0, *map(count_a, range(3, bound + 1))))
+    t = _t_table(sig)
+    assert t[8] == 135
+    assert dirichlet_convolve(ArithSeq(tuple(sig)), a).values == t
 
 
 def test_t_table_refuses_a_t_entry_that_is_not_an_integer():

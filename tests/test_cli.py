@@ -225,6 +225,23 @@ def test_verify_bounds_reports_where_the_large_n_bounds_take_hold(capsys):
                     "eps = 0.5: commutator_lower 87, generating_lower 18")
 
 
+def test_the_identities_suite_checks_the_census_sigma_sieve(monkeypatch):
+    """A wrong sigma(360) in the sieve that census.rows reads fails the sigma1 chain."""
+    from permcensus import arith, verify
+
+    sieve = arith.sigma_table
+
+    def sieve_with_a_wrong_sigma_360(bound, k=1):
+        table = sieve(bound, k)
+        if k == 1:
+            table[360] += 1
+        return table
+
+    monkeypatch.setattr(arith, "sigma_table", sieve_with_a_wrong_sigma_360)
+    failures = [label for label, passed in verify._suite_identities(5) if not passed]
+    assert "one*id1 = sigma1" in failures
+
+
 def test_verify_argument_validation(capsys):
     for argv in (("--suites", "nope"), ("--max-n", "9")):
         with pytest.raises(SystemExit) as exc:
@@ -441,8 +458,8 @@ def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
 
 
 # Imports every module of the package, records the length of each module-level
-# list, dict and set, runs a census and two verify suites in this one
-# interpreter, and prints the names whose length changed.
+# list, dict and set, runs a main and a cycles census and two verify suites in
+# this one interpreter, and prints the names whose length changed.
 GROWTH_PROBE = """
 import contextlib, importlib, io, json, pkgutil, sys
 import permcensus
@@ -462,6 +479,7 @@ def sizes():
 before = sizes()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(["census", "--to", "300"]),
+             main(["census", "--family", "cycles", "--to", "300"]),
              main(["verify", "--suites", "identities", "bounds", "--max-n", "5"])]
 after = sizes()
 print(json.dumps({"codes": codes, "sizes": len(before),
@@ -472,23 +490,22 @@ print(json.dumps({"codes": codes, "sizes": len(before),
 def test_no_module_state_grows_during_a_run():
     """Tables are built per run; no module-level list, dict or set keeps them.
 
-    The probe measures only plain lists, dicts and sets bound at module level.
-    It does not see functools caches; the one the package has, the bounded
-    memo of arith.factorize, is pinned by the test below.
+    The probe measures only plain lists, dicts and sets bound at module level;
+    the test below looks for functools caches.
     """
     result = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert report["sizes"] > 0
     assert report["grown"] == []
 
 
-def test_the_only_module_cache_is_the_bounded_factorize_memo():
-    """Every module-level object of the package with cache_info, and its maxsize."""
+def test_the_package_has_no_module_cache():
+    """No module-level object of the package has cache_info, and so no maxsize."""
     modules = [importlib.import_module("permcensus." + info.name)
                for info in pkgutil.iter_modules(permcensus.__path__) if info.name != "__main__"]
     caches = {f"{value.__module__}.{value.__qualname__}": value.cache_info().maxsize
               for module in modules for value in vars(module).values()
               if hasattr(value, "cache_info")}
-    assert caches == {"permcensus.arith.factorize": 1024}
+    assert caches == {}

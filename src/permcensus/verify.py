@@ -60,7 +60,7 @@ def _suite_identities(max_n: int) -> _Checks:
         "id3": arith.ArithSeq.tabulate(lambda n: n**3, bound),
         "mu": arith.ArithSeq.tabulate(arith.moebius, bound),
         "eps": arith.ArithSeq.tabulate(lambda n: int(n == 1), bound),
-        # The sieves census.rows reads; their slot 0 is ArithSeq's padding.
+        # Off the sieves (census.rows reads the sigma one); slot 0 is ArithSeq's padding.
         "tau": arith.ArithSeq(tuple(arith.sigma_table(bound, 0))),
         "sigma1": arith.ArithSeq(tuple(arith.sigma_table(bound, 1))),
         "sigma3": arith.ArithSeq(tuple(arith.sigma_table(bound, 3))),

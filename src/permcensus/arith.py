@@ -99,47 +99,38 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def sigma_table(bound: int, k: int = 1) -> list[int]:
-    """sigma_k(i) for i in 0..bound as a new list (slot 0 holds 0), for k >= 0.
-
-    sigma_k is multiplicative, so with p the smallest prime factor of n
-    and p^e the largest power of p dividing n, sigma_k(n) =
-    sigma_k(p^e) sigma_k(n / p^e), and sigma_k(p^e) = sigma_k(p^(e-1)) +
-    (p^e)^k.  A smallest-prime-factor sieve gives p, and p^e follows from
-    the entry of n / p.
-    """
+    """sigma_k(i) for i in 0..bound as a new list (slot 0 holds 0), for k >= 0."""
     if k < 0:
         raise ValueError(f"sigma_table expects k >= 0, got {k}")
+    return _multiplicative_table(bound, lambda p, pe, below: below + pe**k)
+
+
+def totient_table(bound: int) -> list[int]:
+    """Euler's totient phi(i) for i in 0..bound as a new list (slot 0 holds 0)."""
+    return _multiplicative_table(bound, lambda p, pe, below: pe - pe // p)
+
+
+def _multiplicative_table(bound: int, at_prime_power: Callable[[int, int, int], int]) -> list[int]:
+    """f(i) for i in 0..bound of a multiplicative f, as a new list (slot 0 holds 0).
+
+    f(p^e) = at_prime_power(p, p^e, f(p^(e-1))) gives f at prime powers.
+    With p the smallest prime factor of n and p^e the largest power of p
+    dividing n, f(n) = f(p^e) f(n / p^e).  A smallest-prime-factor sieve
+    gives p, and p^e follows from the entry of n / p.
+    """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     spf = _smallest_prime_factors(bound)
-    table = [0, 1][: bound + 1]  # sigma_k(0) = 0 by convention, sigma_k(1) = 1
+    table = [0, 1][: bound + 1]  # f(0) = 0 by convention, f(1) = 1
     prime_power = [1] * (bound + 1)  # the largest power of spf[n] dividing n
     for n in range(2, bound + 1):
         p = spf[n]
         rest = n // p
         pe = prime_power[n] = prime_power[rest] * p if spf[rest] == p else p
         if pe == n:
-            table.append(table[rest] + n**k)
+            table.append(at_prime_power(p, n, table[rest]))
         else:
             table.append(table[pe] * table[n // pe])
-    return table
-
-
-def totient_table(bound: int) -> list[int]:
-    """Euler's totient phi(i) for i in 0..bound as a new list (slot 0 holds 0).
-
-    With p the smallest prime factor of n, phi(n) = p phi(n / p) when p
-    divides n / p, and (p - 1) phi(n / p) otherwise; a
-    smallest-prime-factor sieve gives p.
-    """
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    spf = _smallest_prime_factors(bound)
-    table = [0, 1][: bound + 1]
-    for n in range(2, bound + 1):
-        p = spf[n]
-        rest = n // p
-        table.append(table[rest] * (p if spf[rest] == p else p - 1))
     return table
 
 

@@ -7,8 +7,8 @@ is computed, so `census --to 10000 | head -1` does not wait for the rest
 of the range: before the first row, census.rows runs only the sigma
 sieves of the whole range, and each row draws P only up to its degree.
 Exit codes: 0 success, 1 verification failure, failed write or lack of
-memory, 2 usage error, whether or not stderr can be written (warn skips
-a failed line).
+memory, 2 usage error, 130 after Ctrl-C, whether or not stderr can be
+written (warn skips a failed line).
 
 Importing this module loads census, arith and partitions, and no other
 module of the package.  The verification suites live in verify.py, which
@@ -141,6 +141,9 @@ def main(argv=None) -> int:
     except MemoryError:  # e.g. census --to 1000000000000 under a memory limit
         warn(f"permcensus: out of memory: {args.command} needs more than this process may use")
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: stop quietly, with the status a shell gives SIGINT
+        _discard_stdout()
+        return 130
 
 
 def warn(line: str) -> None:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd
 
 from permcensus import arith, census, characters, groups, oracle, origami, partitions
 from permcensus.cli import warn
@@ -86,9 +85,13 @@ def _suite_identities(max_n: int) -> _Checks:
     inv_sigma = arith.dirichlet_inverse(seqs["sigma1"])
     back = conv(seqs["sigma1"], inv_sigma)
     yield "sigma1 * inverse(sigma1) = eps", back.values == seqs["eps"].values
+    # prod over p | n of (1 - p^-k) = J_k(n) / n^k, with J_0 = eps, J_1 = phi and J_2 = j2;
+    # each Moebius sum is compared with it cross-multiplied, in integers.
+    jordan = seqs["eps"].values, seqs["phi"].values, seqs["j2"].values
+    sums = ((n, k, arith.moebius_scaled_divisor_sum(n, k))
+            for n in range(1, bound + 1) for k in (0, 1, 2))
     yield ("moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
-           all(_is_euler_product(arith.moebius_scaled_divisor_sum(n, k), n, k)
-               for n in range(1, 501) for k in (0, 1, 2)))
+           all(s.numerator * n**k == jordan[k][n] * s.denominator for n, k, s in sums))
     # Each additive convolution sum over 0 < k < n, for every n in the range,
     # is one coefficient of a single series product (slot 0 of sigma is 0).
     ram_bound = 5000
@@ -117,15 +120,6 @@ def _matches_ramanujan(conv: list[int], order: str, sig1: list[int], sig3: list[
                    for n in range(1, len(conv)))
     except ArithmeticError:  # a closed form that is not an integer is wrong
         return False
-
-
-def _is_euler_product(value: Fraction, n: int, k: int) -> bool:
-    """Whether value = prod over p | n of (1 - p^-k) = prod(p^k - 1) / prod(p^k).
-
-    The two sides are compared cross-multiplied, in integers.
-    """
-    powers = [p**k for p, _ in arith.factorize(n)]
-    return value.numerator * prod(powers) == prod(pk - 1 for pk in powers) * value.denominator
 
 
 def _suite_origami(max_n: int) -> _Checks:

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -242,6 +243,25 @@ def test_the_identities_suite_checks_the_census_sigma_sieve(monkeypatch):
     assert "one*id1 = sigma1" in failures
 
 
+def test_the_euler_product_check_reads_the_suite_phi_sieve(monkeypatch):
+    """A wrong phi(360) in the totient sieve fails the Euler-product check and both phi chains."""
+    from permcensus import arith, verify
+
+    sieve = arith.totient_table
+
+    def sieve_with_a_wrong_phi_360(bound):
+        table = sieve(bound)
+        if bound >= 360:
+            table[360] += 1
+        return table
+
+    monkeypatch.setattr(arith, "totient_table", sieve_with_a_wrong_phi_360)
+    failures = [label for label, passed in verify._suite_identities(5) if not passed]
+    for label in ("moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
+                  "one*phi = id1", "tau*phi = sigma1"):
+        assert label in failures
+
+
 def test_verify_argument_validation(capsys):
     for argv in (("--suites", "nope"), ("--max-n", "9")):
         with pytest.raises(SystemExit) as exc:
@@ -287,6 +307,23 @@ def test_closed_pipe_exits_quietly():
     assert proc.wait() == 0
     assert first == b"3 3 3 1.00000\n"
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, started", [
+    (("census", "--to", "100000"), "stdout"),  # mid-census
+    (("verify", "--max-n", "8", "--allow-n8"), "stderr"),  # mid-suite
+])
+def test_ctrl_c_exits_quietly_with_status_130(argv, started):
+    proc = subprocess.Popen([sys.executable, "-m", "permcensus", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert getattr(proc, started).readline()  # the run is under way
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert b"Traceback" not in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

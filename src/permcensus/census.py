@@ -97,9 +97,10 @@ def _t_table(sig: list[int]) -> tuple[int, ...]:
     return tuple([num // 8 for num in nums])
 
 
-def _weights(a: int, sig: list[int]) -> list[int]:
-    """k^a sigma(k) for every k of the sigma table sig (slot 0 holds 0)."""
-    return [k**a * s for k, s in enumerate(sig)]
+def _weights(a: int | float, sig: list[int]) -> list:
+    """k^a sigma(k) for each k of the sigma table sig, with a an int >= 0 or a float."""
+    # Slot 0 holds 0 and is not raised to a power: 0 ** -0.5 would raise.
+    return [0, *(k**a * s for k, s in enumerate(sig[1:], 1))]
 
 
 def count_b(n: int, tables: tuple | None = None) -> int:
@@ -129,19 +130,15 @@ def count_a(n: int) -> int:
 def psi(a, n: int):
     """psi_a(n) = sum over 1 <= k <= n of k^a sigma(k) P(n-k).
 
-    Exact (an integer) for integer a >= 0; for non-integer a the powers
-    k^a are evaluated in floating point and the float result is approximate.
+    Exact (an int) for an integer a >= 0.  Any other a is taken as float(a):
+    the powers k^a are floats and so is the approximate result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(a, int) and a < 0:
         raise ValueError(f"psi needs a >= 0 when a is an integer, got a = {a}")
-    table = partition_table(n)
-    sig = sigma_table(n)
-    if isinstance(a, int):
-        return sum(map(operator.mul, _weights(a, sig)[1:], table[n - 1 :: -1]))
-    exponent = float(a)
-    return sum(k**exponent * sig[k] * table[n - k] for k in range(1, n + 1))
+    weights = _weights(a if isinstance(a, int) else float(a), sigma_table(n))
+    return sum(map(operator.mul, weights[1:], partition_table(n)[n - 1 :: -1]))
 
 
 def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float]:
@@ -152,11 +149,10 @@ def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float
     psi's terms and their order, so each value equals psi(exponent, n) bit
     for bit.
     """
-    degrees = range(1, len(table))
-    weights = [0.0, *(k**exponent * sig[k] for k in degrees)]
+    weights = _weights(exponent, sig)
     p_floats = list(map(float, table))
     return [0.0, *(sum(map(operator.mul, weights[1 : n + 1], p_floats[n - 1 :: -1]))
-                   for n in degrees)]
+                   for n in range(1, len(table)))]
 
 
 class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
@@ -312,9 +308,11 @@ def bound_report(n_max: int) -> BoundReport:
             strict["commutator_upper"].append(n)
         if not 8 * a_n < 3 * n**3:
             strict["generating_upper"].append(n)
+        upper = n * p_n  # n^(a+1) P(n), for a = 0, 1, 2 in turn
         for a_exp, values in psis.items():
-            if not n * p_n <= values[n] <= n ** (a_exp + 1) * p_n:
+            if not n * p_n <= values[n] <= upper:
                 strict[f"sandwich_a{a_exp}"].append(n)
+            upper *= n
         if not psi_eps[n] < b_n:
             eps_fail["commutator_lower"].append(n)
         if not n ** (3 - EPSILON) < a_n:

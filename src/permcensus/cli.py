@@ -138,7 +138,9 @@ def main(argv=None) -> int:
         warn(f"permcensus: cannot write output: {exc}")
         _discard_stdout()
         return 1
-    except MemoryError:  # e.g. census --to 1000000000000 under a memory limit
+    except (MemoryError, OverflowError):
+        # A table too large for this process (census --to 1000000000000 under
+        # a memory limit) or for any list (OverflowError from 2**63 entries up).
         warn(f"permcensus: out of memory: {args.command} needs more than this process may use")
         return 1
     except KeyboardInterrupt:  # Ctrl-C: stop quietly, with the status a shell gives SIGINT

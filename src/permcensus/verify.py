@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
+from itertools import repeat
 from math import factorial, gcd
 
 from permcensus import arith, census, characters, groups, oracle, origami, partitions
@@ -93,12 +94,18 @@ def _suite_identities(max_n: int) -> _Checks:
     yield ("moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
            all(s.numerator * n**k == jordan[k][n] * s.denominator for n, k, s in sums))
     # Each additive convolution sum over 0 < k < n, for every n in the range,
-    # is one coefficient of a single series product (slot 0 of sigma is 0).
+    # is one coefficient of a single series product (slot 0 of sigma is 0, so
+    # coefficient 0 and the closed form at n = 0 are both 0).
     ram_bound = 5000
     sig1, sig3, sig5 = (arith.sigma_table(ram_bound, k) for k in (1, 3, 5))
     for order, other in (("deg1", sig1), ("deg3", sig3)):
-        yield (f"sigma convolution closed form {order} (n <= {ram_bound})",
-               _matches_ramanujan(arith.series_product(sig1, other), order, sig1, sig3, sig5))
+        try:
+            closed = map(arith._ramanujan_from_sigmas, range(ram_bound + 1), repeat(order),
+                         sig1, sig3, sig5)
+            holds = arith.series_product(sig1, other) == list(closed)
+        except ArithmeticError:  # a closed form that is not an integer is wrong
+            holds = False
+        yield f"sigma convolution closed form {order} (n <= {ram_bound})", holds
     # With P(0) = 1 the product's coefficient n also holds the k = n term
     # sigma(n), so sum_{0<k<n} sigma(k) P(n-k) = n P(n) - sigma(n) reads
     # coefficient n = n P(n).
@@ -107,19 +114,6 @@ def _suite_identities(max_n: int) -> _Checks:
     sigma_p = arith.series_product(sig1[: part_bound + 1], table)
     yield (f"partition convolution identity (n <= {part_bound})",
            all(sigma_p[n] == n * table[n] for n in range(1, part_bound + 1)))
-
-
-def _matches_ramanujan(conv: list[int], order: str, sig1: list[int], sig3: list[int],
-                       sig5: list[int]) -> bool:
-    """Whether conv[n] equals the closed form `order` for every n >= 1 of conv.
-
-    The closed form of each n is evaluated from the sigma tables.
-    """
-    try:
-        return all(conv[n] == arith._ramanujan_from_sigmas(n, order, sig1[n], sig3[n], sig5[n])
-                   for n in range(1, len(conv)))
-    except ArithmeticError:  # a closed form that is not an integer is wrong
-        return False
 
 
 def _suite_origami(max_n: int) -> _Checks:

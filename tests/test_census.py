@@ -105,12 +105,20 @@ def test_a_count_decomposition():
         assert 24 * (count_a(n) - count_a1(n)) == 5 * n * j2 + 12 * n * j1 - 18 * j2
 
 
-def test_psi_definition():
+@pytest.mark.parametrize("a", [0, 1, 2, 3, 1.5, Fraction(3, 2), -0.5],
+                         ids=["int0", "int1", "int2", "int3", "float", "fraction", "negative-float"])
+def test_psi_definition(a):
+    """psi equals the written-out sum, value and type, bit for bit.
+
+    k**a is a float for a non-integer a; the negative exponent fails if slot
+    0 of the weights is ever raised to a power (0 ** -0.5 raises).
+    """
+    sig = [sigma_k(k, 1) if k else 0 for k in range(150)]
     for n in range(1, 150):
         table = partition_table(n)
-        for a in range(4):
-            direct = sum(k**a * sigma_k(k, 1) * table[n - k] for k in range(1, n + 1))
-            assert psi(a, n) == direct
+        direct = sum(k**a * sig[k] * table[n - k] for k in range(1, n + 1))
+        got = psi(a, n)
+        assert (type(got), got) == (type(direct), direct)
     assert psi(0, 40) == 40 * partition_count(40)
 
 

@@ -348,7 +348,9 @@ def limit_address_space():
 
 @pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_AS on this system")
 @pytest.mark.parametrize("argv", [("census", "--from", "1000000000000", "--to", "1000000000000"),
-                                  ("census", "--to", "1000000000000")])
+                                  ("census", "--to", "1000000000000"),
+                                  ("census", "--from", "9223372036854775807",
+                                   "--to", "9223372036854775807")])
 def test_out_of_memory_is_one_line_and_exit_1(argv):
     result = subprocess.run([sys.executable, "-m", "permcensus", *argv], capture_output=True,
                             text=True, preexec_fn=limit_address_space)

@@ -103,6 +103,14 @@ def _weights(a: int | float, sig: list[int]) -> list:
     return [0, *(k**a * s for k, s in enumerate(sig[1:], 1))]
 
 
+def _p_sum(weights, p, n: int):
+    """sum over 1 <= k <= n of weights[k] P(n-k), with p[j] = P(j): one degree of weights * P."""
+    # map() would stop short without a word on a table that ends before n.
+    if min(len(weights), len(p)) <= n:
+        raise ArithmeticError(f"a table ends before {n} (this is a bug)")
+    return sum(map(operator.mul, weights[1 : n + 1], p[n - 1 :: -1]))
+
+
 def count_b(n: int, tables: tuple | None = None) -> int:
     """All pairs with 3-cycle commutator, over n!: (t * P)(n) = sum_k t(k) P(n-k).
 
@@ -112,13 +120,8 @@ def count_b(n: int, tables: tuple | None = None) -> int:
     sequences that reach degree n; without it count_b builds both up to n.
     """
     _check_degree(n)
-    if tables is None:
-        tables = partition_table(n), _t_table(sigma_table(n))
-    p, t = tables
-    # map() would stop short without a word on a table that ends before n.
-    if min(len(p), len(t)) <= n:
-        raise ArithmeticError(f"a table ends before {n} (this is a bug)")
-    return sum(map(operator.mul, t[1 : n + 1], p[n - 1 :: -1]))
+    p, t = tables or (partition_table(n), _t_table(sigma_table(n)))
+    return _p_sum(t, p, n)
 
 
 def count_a(n: int) -> int:
@@ -138,21 +141,7 @@ def psi(a, n: int):
     if isinstance(a, int) and a < 0:
         raise ValueError(f"psi needs a >= 0 when a is an integer, got a = {a}")
     weights = _weights(a if isinstance(a, int) else float(a), sigma_table(n))
-    return sum(map(operator.mul, weights[1:], partition_table(n)[n - 1 :: -1]))
-
-
-def _psi_floats(exponent: float, sig: list[int], table: list[int]) -> list[float]:
-    """psi(exponent, n) as floats at every degree of sig and table (slot 0 is unused).
-
-    The weights k^exponent sigma(k) and the floats of P are built once;
-    float * int rounds the int exactly as float() does, and every sum keeps
-    psi's terms and their order, so each value equals psi(exponent, n) bit
-    for bit.
-    """
-    weights = _weights(exponent, sig)
-    p_floats = list(map(float, table))
-    return [0.0, *(sum(map(operator.mul, weights[1 : n + 1], p_floats[n - 1 :: -1]))
-                   for n in range(1, len(table)))]
+    return _p_sum(weights, partition_table(n), n)
 
 
 class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
@@ -297,7 +286,7 @@ def bound_report(n_max: int) -> BoundReport:
     # Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of their
     # series product with P is psi_a(n), the sum over 1 <= k <= n.
     psis = {a_exp: series_product(_weights(a_exp, sig), table) for a_exp in (0, 1, 2)}
-    psi_eps = _psi_floats(2 - EPSILON, sig, table)
+    weights_eps = _weights(2 - EPSILON, sig)
     # t is non-negative, so count_b at every degree is one series product.
     counts_b = series_product(_t_table(sig), table)
     for n in range(3, n_max + 1):
@@ -313,7 +302,8 @@ def bound_report(n_max: int) -> BoundReport:
             if not n * p_n <= values[n] <= upper:
                 strict[f"sandwich_a{a_exp}"].append(n)
             upper *= n
-        if not psi_eps[n] < b_n:
+        # psi(2 - EPSILON, n) bit for bit: float * int rounds the int as float() does.
+        if not _p_sum(weights_eps, table, n) < b_n:
             eps_fail["commutator_lower"].append(n)
         if not n ** (3 - EPSILON) < a_n:
             eps_fail["generating_lower"].append(n)

@@ -27,6 +27,9 @@ from permcensus.census import significant_digits
 
 DEFAULT_FROM = 3
 DEFAULT_TO = 255
+# A cycles row factorizes its degree by trial division: up to 10**12 a row
+# takes under a second, and at 10**23 - 1 one row trial-divides for hours.
+CYCLES_MAX_TO = 10**12
 
 SUITE_NAMES = ("formulas", "identities", "origami", "characters", "bounds")
 
@@ -34,6 +37,9 @@ SUITE_NAMES = ("formulas", "identities", "origami", "characters", "bounds")
 def cmd_census(args) -> int:
     if args.start < 3 or args.start > args.stop:
         warn(f"census: need 3 <= --from <= --to, got {args.start}..{args.stop}")
+        return 2
+    if args.family == "cycles" and args.stop > CYCLES_MAX_TO:
+        warn(f"census: --family cycles needs --to <= {CYCLES_MAX_TO}, got {args.stop}")
         return 2
     header = census.COLUMNS[args.family]
     if args.format == "jsonl":
@@ -88,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--to", dest="stop", type=int, default=DEFAULT_TO,
                      help=f"last degree (default {DEFAULT_TO})")
     cen.add_argument("--family", choices=tuple(census.COLUMNS), default="main",
-                     help="main: all pairs; cycles: n-cycle and any-cycle families")
+                     help="main: all pairs; cycles: n-cycle and any-cycle families "
+                          f"(--to at most {CYCLES_MAX_TO})")
     cen.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
     cen.add_argument("--threads", type=_thread_count, default=1,
                      help="accepted for compatibility and ignored: rows are "

@@ -4,8 +4,8 @@ Each suite yields a (label, passed) pair per check; cmd_verify collects
 the failed labels, times each suite and prints:
 
   formulas    closed forms vs brute-force enumeration, every family, 3..--max-n
-  identities  Dirichlet convolution chains, inverses, Euler products and the
-              additive convolution sums of divisor sums and partitions
+  identities  Dirichlet convolution chains, inverses, Euler products, t = sigma*A
+              and the additive convolution sums of divisor sums and partitions
   origami     cylinder diagram round trips, primitivity criteria, twist counts
   characters  the Frobenius character sum vs count_b, squared dimensions
   bounds      the psi sandwich, count bounds and divisor-sum inequalities
@@ -106,6 +106,14 @@ def _suite_identities(max_n: int) -> _Checks:
         except ArithmeticError:  # a closed form that is not an integer is wrong
             holds = False
         yield f"sigma convolution closed form {order} (n <= {ram_bound})", holds
+    # t = sigma1*A: a surface in H(2) with n squares is a primitive one with d | n
+    # squares composed with one of the sigma(n/d) sublattices of index n/d.
+    try:
+        gen = arith.ArithSeq((0, 0, 0, *map(census.count_a, range(3, ram_bound + 1))))
+        holds = census._t_table(sig1) == conv(arith.ArithSeq(tuple(sig1)), gen).values
+    except ArithmeticError:  # a count or a t(k) that is not an integer is wrong
+        holds = False
+    yield f"t = sigma1*A (n <= {ram_bound})", holds
     # With P(0) = 1 the product's coefficient n also holds the k = n term
     # sigma(n), so sum_{0<k<n} sigma(k) P(n-k) = n P(n) - sigma(n) reads
     # coefficient n = n P(n).

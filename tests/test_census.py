@@ -137,14 +137,19 @@ def test_psi_rejects_negative_integer_exponent():
 
 
 def test_psi_sweeps_of_bound_report_match_psi():
-    """The whole-range psi values bound_report reads equal psi at every degree."""
+    """The whole-range psi values bound_report reads equal psi at every degree.
+
+    Its psi_(2-eps) < count_b failures are the degrees where psi and
+    count_b, called one degree at a time, fail it; 87 is the last.
+    """
     bound = 400
     sig, table = sigma_table(bound), partition_table(bound)
     for a in (0, 1, 2):
         psis = series_product(census._weights(a, sig), table)
         assert psis[1:] == [psi(a, n) for n in range(1, bound + 1)]
-    # bit for bit, so the epsilon failures cannot move
-    assert census._psi_floats(1.5, sig, table)[1:] == [psi(1.5, n) for n in range(1, bound + 1)]
+    failing = [n for n in range(3, 201) if not psi(2 - census.EPSILON, n) < count_b(n)]
+    assert census.bound_report(200).epsilon_failures["commutator_lower"] == failing
+    assert failing[-1] == 87
 
 
 def test_census_row_and_probabilities():

@@ -136,6 +136,25 @@ def test_verify_counts_a_non_integer_closed_form_as_a_failure(capsys, monkeypatc
     assert "FAIL sigma convolution closed form deg3 (n <= 5000)" in out
 
 
+@pytest.mark.parametrize("fault", ["off by one at 360", "not an integer at 360"])
+def test_verify_ties_t_to_the_generating_counts(capsys, monkeypatch, fault):
+    """The identities suite fails t = sigma1*A when one count_a is wrong or raises."""
+    from permcensus import census
+
+    real = census.count_a
+
+    def wrong_at_360(n):
+        if n == 360 and fault.startswith("not"):
+            raise ArithmeticError("count_a(360) is not an integer (this is a bug)")
+        return real(n) + (n == 360)
+
+    monkeypatch.setattr(census, "count_a", wrong_at_360)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "identities")
+    assert code == 1
+    assert out.splitlines() == ["suite identities: 1 failure(s)",
+                                "  FAIL t = sigma1*A (n <= 5000)"]
+
+
 def test_verify_catches_a_moebius_sum_off_by_one_term(capsys, monkeypatch):
     from permcensus import arith
 
@@ -405,6 +424,21 @@ def test_thread_count_below_one_is_a_usage_error(threads):
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert "--threads" in result.stderr and repr(threads) in result.stderr
+
+
+def test_a_cycles_degree_above_the_cap_is_a_usage_error():
+    """A cycles row past 10**12 would trial-divide for hours; it is refused at once."""
+    huge = "99999999999999999999999"
+    argv = [sys.executable, "-m", "permcensus", "census", "--family", "cycles"]
+    result = subprocess.run([*argv, "--from", huge, "--to", huge],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"census: --family cycles needs --to <= 1000000000000, got {huge}\n"
+    capped = subprocess.run([*argv, "--from", "1000000000000", "--to", "1000000000000"],
+                            capture_output=True, text=True, timeout=10)
+    assert capped.returncode == 0
+    assert capped.stdout.startswith("1000000000000 ")
 
 
 # Census runs far past the golden file's 255, each pinned by the sha256 of its

@@ -302,7 +302,6 @@ def bound_report(n_max: int) -> BoundReport:
             if not n * p_n <= values[n] <= upper:
                 strict[f"sandwich_a{a_exp}"].append(n)
             upper *= n
-        # psi(2 - EPSILON, n) bit for bit: float * int rounds the int as float() does.
         if not _p_sum(weights_eps, table, n) < b_n:
             eps_fail["commutator_lower"].append(n)
         if not n ** (3 - EPSILON) < a_n:

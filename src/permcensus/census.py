@@ -87,14 +87,10 @@ def count_a2(n: int) -> int:
 def _t_table(sig: list[int]) -> tuple[int, ...]:
     """t(k) = 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8 for every k of sig = sigma_table(bound).
 
-    A message is formatted only for a numerator that 8 does not divide.
+    Each entry goes through _exact_div, which names t(k) if 8 does not divide it.
     """
-    nums = [3 * (cube_sum - (2 * k - 1) * s)
-            for k, (s, cube_sum) in enumerate(zip(sig, sigma_table(len(sig) - 1, 3)))]
-    for k, num in enumerate(nums):
-        if num % 8:
-            _exact_div(num, 8, f"t({k})")
-    return tuple([num // 8 for num in nums])
+    return tuple([_exact_div(3 * (cube_sum - (2 * k - 1) * s), 8, f"t({k})")
+                  for k, (s, cube_sum) in enumerate(zip(sig, sigma_table(len(sig) - 1, 3)))])
 
 
 def _weights(a: int | float, sig: list[int]) -> list:

@@ -81,9 +81,7 @@ def three_cycle(s: Sequence[int], t: Sequence[int]) -> tuple[int, int, int] | No
     """
     if len(s) != len(t):
         raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
-    s_inv = [0] * (len(s) + 1)
-    for x, y in enumerate(s, 1):
-        s_inv[y] = x
+    s_inv = (0, *inverse(s))
     images = {}
     for u, tu in enumerate(t, 1):
         w = t[s_inv[u] - 1]
@@ -187,23 +185,8 @@ def cycle_structure(s: Sequence[int]) -> CycleStructure:
 
 
 def signature(s: Sequence[int]) -> int:
-    """+1 for even permutations, -1 for odd ones.
-
-    The parity of n minus the number of cycles; the cycles are counted by
-    marking their points, without building the decomposition.
-    """
-    n = len(s)
-    seen = bytearray(n + 1)
-    cycles = 0
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = s[x - 1]
-    return -1 if (n - cycles) % 2 else 1
+    """+1 for even permutations, -1 for odd ones: the parity of n minus the number of cycles."""
+    return -1 if (len(s) - len(cycle_structure(s).cycles)) % 2 else 1
 
 
 def conjugacy_class_size(flag: Iterable[int]) -> int:

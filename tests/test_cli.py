@@ -1,5 +1,6 @@
 """Command-line interface: output formats, argument handling, verify suites."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -300,6 +301,35 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == EXPECTED_SMALL.split("6 36", 1)[0]
+
+
+def test_importing_the_module_entry_leaves_the_collector_alone(monkeypatch):
+    monkeypatch.delitem(sys.modules, "permcensus.__main__", raising=False)
+    frozen = gc.get_freeze_count()
+    importlib.import_module("permcensus.__main__")
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+# Runs the -m entry as `python -m permcensus` would, after registering an
+# atexit hook: the entry must leave the final flush and the hooks to sys.exit.
+RUN_AS_MAIN = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("atexit hook ran\\n"))
+sys.argv = ["permcensus", *sys.argv[1:]]
+runpy.run_module("permcensus", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("census", "--to", "5"), 0, EXPECTED_SMALL.split("6 36", 1)[0], ""),
+    (("census", "--to", "2"), 2, "", "census: need 3 <= --from <= --to, got 3..2\n"),
+])
+def test_the_module_entry_exits_through_sys_exit(argv, code, out, err):
+    result = subprocess.run([sys.executable, "-c", RUN_AS_MAIN, *argv],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (code, out)
+    assert result.stderr == err + "atexit hook ran\n"
 
 
 def test_unknown_command():

@@ -316,7 +316,6 @@ def test_importing_the_module_entry_leaves_the_collector_alone(monkeypatch):
 RUN_AS_MAIN = """
 import atexit, runpy, sys
 atexit.register(lambda: sys.stderr.write("atexit hook ran\\n"))
-sys.argv = ["permcensus", *sys.argv[1:]]
 runpy.run_module("permcensus", run_name="__main__", alter_sys=True)
 """
 

@@ -40,8 +40,8 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from permcensus.arith import jordan_totient, series_product, sigma_table
-from permcensus.partitions import partition_numbers, partition_table
+from permcensus.arith import jordan_totient, sigma_table
+from permcensus.partitions import partition_numbers, partition_table, times_p
 
 
 def _check_degree(n: int) -> None:
@@ -262,7 +262,8 @@ def bound_report(n_max: int) -> BoundReport:
       (8/3) count_b(n) < psi_2(n);  count_a(n) < (3/8) n^3;
       n P(n) <= psi_a(n) <= n^(a+1) P(n) for a in {0, 1, 2}.
     Reported only: psi_(2-eps)(n) < count_b(n) and n^(3-eps) < count_a(n)
-    at eps = EPSILON, which hold for large n.
+    at eps = EPSILON, which hold for large n.  psi_0, psi_1, psi_2 and
+    count_b are times_p streams; psi_(2-eps) is a float _p_sum per degree.
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
@@ -279,15 +280,14 @@ def bound_report(n_max: int) -> BoundReport:
     }
     table = partition_table(n_max)
     sig = sigma_table(n_max)
-    # Slot 0 of the weights k^a sigma(k) is 0, so coefficient n of their
-    # series product with P is psi_a(n), the sum over 1 <= k <= n.
-    psis = {a_exp: series_product(_weights(a_exp, sig), table) for a_exp in (0, 1, 2)}
+    # Slot 0 of the weights k^a sigma(k) and of t is 0, so entry n of their
+    # times_p stream is the sum over 1 <= k <= n: psi_a(n) and count_b(n).
+    psis = {a_exp: list(times_p(_weights(a_exp, sig))) for a_exp in (0, 1, 2)}
+    counts_b = list(times_p(_t_table(sig)))
     weights_eps = _weights(2 - EPSILON, sig)
     # float * int converts the int as float() does, so converting P once
-    # leaves every psi_(2-eps) sum bit-identical and saves it per product.
+    # leaves every psi_(2-eps) sum bit-identical and saves it per degree.
     floats = list(map(float, table))
-    # t is non-negative, so count_b at every degree is one series product.
-    counts_b = series_product(_t_table(sig), table)
     for n in range(3, n_max + 1):
         p_n = table[n]
         b_n = counts_b[n]

@@ -40,23 +40,25 @@ def generated(*gens: Sequence[int]) -> Group:
     return gens
 
 
+def _closure(start, group: Group, step) -> frozenset:
+    """Everything reached from start by step(g, x) for the generators g, breadth first."""
+    seen = {start}
+    queue = [start]  # the for loop reads queue as it grows, one visit per element
+    for x in queue:
+        for g in group:
+            y = step(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
 def orbit(group: Group, x: int) -> frozenset[int]:
     """The orbit of the point x under the group."""
     n = len(group[0])
     if not 1 <= x <= n:
         raise ValueError(f"point {x} outside 1..{n}")
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for img in group:
-                q = img[p - 1]
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
+    return _closure(x, group, lambda g, p: g[p - 1])
 
 
 def is_transitive(group: Group) -> bool:
@@ -158,18 +160,7 @@ def group_order(group: Group) -> int:
 
 def element_closure(group: Group) -> frozenset[tuple[int, ...]]:
     """Every element of the group by breadth-first closure (small degrees only)."""
-    seen = {tuple(range(1, len(group[0]) + 1))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in group:
-                q = compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
+    return _closure(tuple(range(1, len(group[0]) + 1)), group, compose)
 
 
 def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:

@@ -1,35 +1,40 @@
-"""The integer partition function and partition enumeration."""
+"""The integer partition function, convolutions with it, and partition enumeration."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import count, islice
+from collections.abc import Iterable, Iterator
+from itertools import chain, count, islice, repeat
 
 
-def partition_numbers() -> Iterator[int]:
-    """Yield P(0), P(1), P(2), ... without end, by the pentagonal-number recurrence.
+def times_p(weights: Iterable[int]) -> Iterator[int]:
+    """Yield (w * P)(n) = sum over 0 <= k <= n of w(k) P(n - k) for n = 0, 1, ...
 
-    P(n) = sum over the generalized pentagonal numbers g = j(3j -+ 1)/2 <= n
-    of +-P(n - g), the sign + for odd j and - for even j.  The offsets come
-    in ascending order, at most one per n, and each n takes in the offset
-    equal to n, so its loops run over the offsets <= n.
+    Euler's pentagonal theorem gives P * E = 1 with E = prod over k >= 1 of
+    (1 - q^k), so X = w * P solves X * E = w: X(n) = w(n) + sum over the
+    generalized pentagonal numbers g = j(3j -+ 1)/2 <= n of +-X(n - g), the
+    sign + for odd j.  The offsets ascend, and each n takes in the offset
+    equal to n, so its loops run over the offsets <= n.  The stream yields
+    one value per integer weight w(0), w(1), ... and ends when they do.
     """
-    table = [1]
-    yield 1
+    table = []
     offsets = _pentagonal_offsets()
     g, positive = next(offsets)
     active_plus, active_minus = [], []
-    for n in count(1):
+    for n, total in enumerate(weights):
         if g == n:
             (active_plus if positive else active_minus).append(g)
             g, positive = next(offsets)
-        total = 0
         for g_plus in active_plus:
             total += table[n - g_plus]
         for g_minus in active_minus:
             total -= table[n - g_minus]
         table.append(total)
         yield total
+
+
+def partition_numbers() -> Iterator[int]:
+    """Yield P(0), P(1), P(2), ... without end: times_p of the weights 1, 0, 0, ..."""
+    return times_p(chain((1,), repeat(0)))
 
 
 def _pentagonal_offsets() -> Iterator[tuple[int, bool]]:

@@ -33,7 +33,7 @@ from permcensus.census import (
     rows,
     significant_digits,
 )
-from permcensus.partitions import partition_count, partition_numbers, partition_table
+from permcensus.partitions import partition_count, partition_numbers, partition_table, times_p
 
 # (n, b, a, b1, a1, b2, a2) for the first few degrees
 KNOWN_ROWS = [
@@ -137,15 +137,19 @@ def test_psi_rejects_negative_integer_exponent():
 
 
 def test_psi_sweeps_of_bound_report_match_psi():
-    """The whole-range psi values bound_report reads equal psi at every degree.
+    """The times_p streams of psi that bound_report reads equal psi at every degree.
 
-    Its psi_(2-eps) < count_b failures are the degrees where psi and
-    count_b, called one degree at a time, fail it; 87 is the last.
+    series_product, the packed-integer product, is a second route to the
+    same values.  The psi_(2-eps) < count_b failures of bound_report are the
+    degrees where psi and count_b, called one degree at a time, fail it;
+    87 is the last.
     """
     bound = 400
     sig, table = sigma_table(bound), partition_table(bound)
     for a in (0, 1, 2):
-        psis = series_product(census._weights(a, sig), table)
+        weights = census._weights(a, sig)
+        psis = list(times_p(weights))
+        assert psis == series_product(weights, table)
         assert psis[1:] == [psi(a, n) for n in range(1, bound + 1)]
     failing = [n for n in range(3, 201) if not psi(2 - census.EPSILON, n) < count_b(n)]
     assert census.bound_report(200).epsilon_failures["commutator_lower"] == failing
@@ -302,6 +306,27 @@ def test_raw_generating_ratio_decreases_on_grid():
     assert all(x > y for x, y in zip(ratios, ratios[1:]))
 
 
+def bound_report_one_degree_at_a_time(n_max):
+    """bound_report(n_max) rebuilt from psi, count_b and count_a called at each degree."""
+    strict = {name: [] for name in ("commutator_upper", "generating_upper",
+                                    "sandwich_a0", "sandwich_a1", "sandwich_a2")}
+    eps_fail = {"commutator_lower": [], "generating_lower": []}
+    for n in range(3, n_max + 1):
+        p_n, b_n, a_n = partition_count(n), count_b(n), count_a(n)
+        if not 8 * b_n < 3 * psi(2, n):
+            strict["commutator_upper"].append(n)
+        if not 8 * a_n < 3 * n**3:
+            strict["generating_upper"].append(n)
+        for a in (0, 1, 2):
+            if not n * p_n <= psi(a, n) <= n ** (a + 1) * p_n:
+                strict[f"sandwich_a{a}"].append(n)
+        if not psi(2 - census.EPSILON, n) < b_n:
+            eps_fail["commutator_lower"].append(n)
+        if not n ** (3 - census.EPSILON) < a_n:
+            eps_fail["generating_lower"].append(n)
+    return census.BoundReport(n_max, census.EPSILON, strict, eps_fail)
+
+
 def test_bound_report():
     report = bound_report(400)
     assert report.n_max == 400 and report.epsilon == 0.5
@@ -310,8 +335,19 @@ def test_bound_report():
     # the for-large-n lower bounds at epsilon = 1/2 settle early and stay settled
     assert max(report.epsilon_failures["commutator_lower"]) == 87
     assert max(report.epsilon_failures["generating_lower"]) == 18
+    # Below 8 the weight lists end before the pentagonal offsets 5 and 7.
+    for n_max in (3, 4, 5, 6, 7, 100):
+        assert bound_report(n_max) == bound_report_one_degree_at_a_time(n_max), n_max
     with pytest.raises(ValueError):
         bound_report(2)
+
+
+def test_times_p_matches_series_product_on_the_census_weights():
+    """times_p and series_product agree on k^a sigma(k) for a = 0, 1, 2 and on t."""
+    bound = 500
+    sig, table = sigma_table(bound), partition_table(bound)
+    for weights in (*(census._weights(a, sig) for a in (0, 1, 2)), list(_t_table(sig))):
+        assert list(times_p(weights)) == series_product(weights, table)
 
 
 def test_count_b_matches_the_three_sum_formula():

@@ -3,7 +3,7 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from permcensus.arith import sigma_k
@@ -12,6 +12,7 @@ from permcensus.partitions import (
     partition_count,
     partition_numbers,
     partition_table,
+    times_p,
 )
 
 # P(1)..P(18)
@@ -78,6 +79,19 @@ def test_partition_table_matches_per_n_recurrence_through_regrowth():
         assert table == reference[: bound + 1]
     for n in range(1, 16):
         assert table[n] == sum(1 for _ in enumerate_partitions(n))
+
+
+def written_out_times_p(weights):
+    """(w * P)(n) = sum over 0 <= k <= n of w(k) P(n - k) for each n of the weights."""
+    table = coin_count_table(len(weights))
+    return [sum(weights[k] * table[n - k] for k in range(n + 1)) for n in range(len(weights))]
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=40))
+@example([7, -3, 0, 2, -5, 1, 0, 4, -1, 9, 3, -2, 6, 0, 1, -8])
+def test_times_p_is_the_written_out_convolution_with_p(weights):
+    """Any integer weights, negative entries and w(0) included, one value per weight."""
+    assert list(times_p(iter(weights))) == written_out_times_p(weights)
 
 
 def test_enumeration_of_four():

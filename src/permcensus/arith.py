@@ -70,12 +70,16 @@ def moebius(n: int) -> int:
     return result
 
 
-def jordan_totient(n: int, k: int) -> int:
-    """J_k(n) = n^k * prod over primes p | n of (1 - p^-k), exactly (k >= 1)."""
+def jordan_totient(n: int, k: int, factors: tuple | None = None) -> int:
+    """J_k(n) = n^k * prod over primes p | n of (1 - p^-k), exactly (k >= 1).
+
+    factors, when given, is factorize(n), so that a caller who needs J_k(n)
+    for several k factorizes n once.
+    """
     if k < 1:
         raise ValueError(f"jordan_totient expects k >= 1, got {k}")
     result = n**k
-    for p, _ in factorize(n):
+    for p, _ in factorize(n) if factors is None else factors:
         pk = p**k
         result = result // pk * (pk - 1)
     return result
@@ -108,6 +112,13 @@ def sigma_table(bound: int, k: int = 1) -> list[int]:
 def totient_table(bound: int) -> list[int]:
     """Euler's totient phi(i) for i in 0..bound as a new list (slot 0 holds 0)."""
     return _multiplicative_table(bound, lambda p, pe, below: pe - pe // p)
+
+
+def jordan_table(bound: int, k: int) -> list[int]:
+    """Jordan's totient J_k(i) for i in 0..bound as a new list (slot 0 holds 0), for k >= 1."""
+    if k < 1:
+        raise ValueError(f"jordan_table expects k >= 1, got {k}")
+    return _multiplicative_table(bound, lambda p, pe, below: pe**k - (pe // p) ** k)
 
 
 def _multiplicative_table(bound: int, at_prime_power: Callable[[int, int, int], int]) -> list[int]:

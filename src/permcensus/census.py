@@ -22,9 +22,9 @@ columns COLUMNS[layout]; counts are integers and ratios exact Fractions:
   main    n  a  b  proba                   proba = P(n) a / (n b)
   cycles  n  a1 b1 proba1 a2 b2 proba2     proba1 = a1/b1, proba2 = n a2/b2
 
-Each row computes only the counts its layout prints.  A main run builds
-t up to its largest degree first and draws P from
-partitions.partition_numbers() only as far as each row needs.
+Each row computes only the counts its layout prints.  A main run grows
+its t and J_2 tables by doubling as its rows reach past them, and draws P
+from partitions.partition_numbers() only as far as each row needs.
 limit_diagnostics reads its p1, p2 and pa values off these ratio columns.
 
 All formulas are exact integer arithmetic with explicit divisibility
@@ -40,7 +40,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from permcensus.arith import jordan_totient, sigma_table
+from permcensus.arith import factorize, jordan_table, jordan_totient, sigma_table
 from permcensus.partitions import partition_numbers, partition_table, times_p
 
 
@@ -64,7 +64,8 @@ def count_b1(n: int) -> int:
 def count_a1(n: int) -> int:
     """Generating pairs with s an n-cycle, over n!: (n/6)(J_2(n) - 3 J_1(n))."""
     _check_degree(n)
-    num = n * (jordan_totient(n, 2) - 3 * jordan_totient(n, 1))
+    factors = factorize(n)
+    num = n * (jordan_totient(n, 2, factors) - 3 * jordan_totient(n, 1, factors))
     return _exact_div(num, 6, f"count_a1({n})")
 
 
@@ -78,10 +79,13 @@ def count_b2(n: int) -> int:
     return _exact_div(num, 24, f"count_b2({n})")
 
 
-def count_a2(n: int) -> int:
-    """Generating pairs with s any cycle, over n!: count_a1(n) + (n+1)(n-2)/2."""
+def count_a2(n: int, a1: int | None = None) -> int:
+    """Generating pairs with s any cycle, over n!: count_a1(n) + (n+1)(n-2)/2.
+
+    a1, when given, is count_a1(n), so that a cycles row factorizes n once.
+    """
     _check_degree(n)
-    return count_a1(n) + (n + 1) * (n - 2) // 2
+    return (count_a1(n) if a1 is None else a1) + (n + 1) * (n - 2) // 2
 
 
 def _t_table(sig: list[int]) -> tuple[int, ...]:
@@ -120,10 +124,15 @@ def count_b(n: int, tables: tuple | None = None) -> int:
     return _p_sum(t, p, n)
 
 
-def count_a(n: int) -> int:
-    """All generating pairs with 3-cycle commutator, over n!: (3/8)(n-2) J_2(n)."""
+def count_a(n: int, j2: list | None = None) -> int:
+    """All generating pairs with 3-cycle commutator, over n!: (3/8)(n-2) J_2(n).
+
+    j2 is a table of J_2 that reaches degree n (arith.jordan_table); without
+    it count_a factorizes n.
+    """
     _check_degree(n)
-    return _exact_div(3 * (n - 2) * jordan_totient(n, 2), 8, f"count_a({n})")
+    j2_n = jordan_totient(n, 2) if j2 is None else j2[n]
+    return _exact_div(3 * (n - 2) * j2_n, 8, f"count_a({n})")
 
 
 def psi(a, n: int):
@@ -189,25 +198,30 @@ COLUMNS = {
 def rows(layout: str, degrees):
     """Yield the row of layout at each degree of degrees (any iterable), in order.
 
-    Each row is computed when it is asked for.  A main run builds the t
-    table up to its largest degree before its first row, and draws P(0),
-    P(1), ... from partition_numbers() only as far as each row needs; a
-    cycles run builds no table.  An unknown layout raises ValueError when
-    iteration starts.
+    Each row is computed when it is asked for.  A main run starts with
+    empty t and J_2 tables; a row past their end rebuilds both up to twice
+    its degree.  So the first row waits only for tables to twice its
+    degree, and as each build is at least twice as long as the one before,
+    the builds of a range together span at most four times its largest
+    degree.  A main run draws P(0), P(1), ... from partition_numbers() only
+    as far as each row needs.  A cycles row factorizes its degree once and
+    builds no table.  An unknown layout raises ValueError when iteration
+    starts.
     """
     if layout == "main":
-        degrees = list(degrees)
-        t = _t_table(sigma_table(max(degrees, default=0)))
+        t = j2 = ()
         stream, p = partition_numbers(), []
         for n in degrees:
+            if n >= len(t):
+                t, j2 = _t_table(sigma_table(2 * n)), jordan_table(2 * n, 2)
             while len(p) <= n:
                 p.append(next(stream))
-            a, b = count_a(n), count_b(n, (p, t))
+            a, b = count_a(n, j2), count_b(n, (p, t))
             yield n, a, b, Fraction(p[n] * a, n * b)
     elif layout == "cycles":
         for n in degrees:
             a1, b1 = count_a1(n), count_b1(n)
-            a2, b2 = count_a2(n), count_b2(n)
+            a2, b2 = count_a2(n, a1), count_b2(n)
             yield n, a1, b1, Fraction(a1, b1), a2, b2, Fraction(n * a2, b2)
     else:
         raise ValueError(f"unknown layout {layout!r}; expected one of {', '.join(COLUMNS)}")
@@ -279,7 +293,7 @@ def bound_report(n_max: int) -> BoundReport:
         "generating_lower": [],
     }
     table = partition_table(n_max)
-    sig = sigma_table(n_max)
+    sig, j2 = sigma_table(n_max), jordan_table(n_max, 2)
     # Slot 0 of the weights k^a sigma(k) and of t is 0, so entry n of their
     # times_p stream is the sum over 1 <= k <= n: psi_a(n) and count_b(n).
     psis = {a_exp: list(times_p(_weights(a_exp, sig))) for a_exp in (0, 1, 2)}
@@ -291,7 +305,7 @@ def bound_report(n_max: int) -> BoundReport:
     for n in range(3, n_max + 1):
         p_n = table[n]
         b_n = counts_b[n]
-        a_n = count_a(n)
+        a_n = count_a(n, j2)
         if not 8 * b_n < 3 * psis[2][n]:
             strict["commutator_upper"].append(n)
         if not 8 * a_n < 3 * n**3:

@@ -3,9 +3,9 @@
 census.rows computes each row of a layout (census.COLUMNS names its
 columns); this module renders its exact ratios with six significant
 digits, as plain, csv or jsonl lines.  Each row is written as soon as it
-is computed, so `census --to 10000 | head -1` does not wait for the rest
-of the range: before the first row, census.rows runs only the sigma
-sieves of the whole range, and each row draws P only up to its degree.
+is computed, so `census --to 1000000 | head -1` does not wait for the rest
+of the range: census.rows sieves sigma and J_2 only up to twice the
+degree of the row it is on, and each row draws P only up to its degree.
 Exit codes: 0 success, 1 verification failure, failed write or lack of
 memory, 2 usage error, 130 after Ctrl-C, whether or not stderr can be
 written (warn skips a failed line).
@@ -146,8 +146,8 @@ def main(argv=None) -> int:
         _discard_stdout()
         return 1
     except (MemoryError, OverflowError):
-        # A table too large for this process (census --to 1000000000000 under
-        # a memory limit) or for any list (OverflowError from 2**63 entries up).
+        # A table too large for this process (a row at degree 10**12 under a
+        # memory limit) or for any list (OverflowError from 2**63 entries up).
         warn(f"permcensus: out of memory: {args.command} needs more than this process may use")
         return 1
     except KeyboardInterrupt:  # Ctrl-C: stop quietly, with the status a shell gives SIGINT

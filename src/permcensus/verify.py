@@ -60,13 +60,13 @@ def _suite_identities(max_n: int) -> _Checks:
         "id3": arith.ArithSeq.tabulate(lambda n: n**3, bound),
         "mu": arith.ArithSeq.tabulate(arith.moebius, bound),
         "eps": arith.ArithSeq.tabulate(lambda n: int(n == 1), bound),
-        # Off the sieves (census.rows reads the sigma one); slot 0 is ArithSeq's padding.
+        # Off the sieves (census.rows reads the sigma and j2 ones); slot 0 is ArithSeq's padding.
         "tau": arith.ArithSeq(tuple(arith.sigma_table(bound, 0))),
         "sigma1": arith.ArithSeq(tuple(arith.sigma_table(bound, 1))),
         "sigma3": arith.ArithSeq(tuple(arith.sigma_table(bound, 3))),
         "phi": arith.ArithSeq(tuple(arith.totient_table(bound))),
-        "j2": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 2), bound),
-        "j3": arith.ArithSeq.tabulate(lambda n: arith.jordan_totient(n, 3), bound),
+        "j2": arith.ArithSeq(tuple(arith.jordan_table(bound, 2))),
+        "j3": arith.ArithSeq(tuple(arith.jordan_table(bound, 3))),
     }
     conv = arith.dirichlet_convolve
     chains = [

@@ -15,6 +15,7 @@ from permcensus.arith import (
     divisors,
     euler_phi,
     factorize,
+    jordan_table,
     jordan_totient,
     moebius,
     moebius_scaled_divisor_sum,
@@ -135,6 +136,35 @@ def test_totient_table_matches_euler_phi():
     assert totient_table(3000) == [0] + [euler_phi(n) for n in range(1, 3001)]
     with pytest.raises(ValueError):
         totient_table(-1)
+
+
+def test_jordan_table_matches_jordan_totient():
+    """Every k <= 3 and n <= 3000, each table exactly bound + 1 long."""
+    for k in (1, 2, 3):
+        for bound in (0, 1, 2, 10, 3000):
+            assert jordan_table(bound, k) == [0] + [jordan_totient(n, k)
+                                                   for n in range(1, bound + 1)]
+    assert jordan_table(3000, 1) == totient_table(3000)
+
+
+@pytest.mark.parametrize("bound, k", [(5, 0), (-1, 2)])
+def test_jordan_table_rejects_k_below_one_and_a_negative_bound(bound, k):
+    with pytest.raises(ValueError):
+        jordan_table(bound, k)
+
+
+def test_jordan_totient_reads_the_factors_it_is_given(monkeypatch):
+    from permcensus import arith
+
+    degrees = (1, 12, 360, 997, 1024)
+    want = [jordan_totient(n, k) for n in degrees for k in (1, 2, 3)]
+    factors = {n: factorize(n) for n in degrees}
+
+    def not_called(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", not_called)
+    assert [jordan_totient(n, k, factors[n]) for n in degrees for k in (1, 2, 3)] == want
 
 
 def test_sigma_table_returns_a_new_list_each_call():

@@ -291,6 +291,54 @@ def test_main_rows_in_any_order_match_the_per_degree_counts(monkeypatch):
     assert got == main_rows_one_degree_at_a_time([300, 4, 257])
 
 
+def record_table_bounds(monkeypatch) -> dict[str, list[int]]:
+    """Patch census.sigma_table and census.jordan_table to record the bound of each build."""
+    bounds = {"sigma_table": [], "jordan_table": []}
+    for name, recorded in bounds.items():
+        def recording(bound, *k, real=getattr(census, name), recorded=recorded):
+            recorded.append(bound)
+            return real(bound, *k)
+
+        monkeypatch.setattr(census, name, recording)
+    return bounds
+
+
+def test_the_first_row_of_a_wide_main_run_sieves_no_table_past_twice_its_degree(monkeypatch):
+    bounds = record_table_bounds(monkeypatch)
+    assert next(rows("main", range(3, 5001)))[0] == 3
+    # sigma and sigma_3 for t, and J_2, each once and each up to 2 * 3.
+    assert bounds == {"sigma_table": [6, 6], "jordan_table": [6]}
+
+
+def test_a_main_run_doubles_its_tables_and_factorizes_no_degree(monkeypatch):
+    bounds = record_table_bounds(monkeypatch)
+
+    def not_called(*args):
+        raise AssertionError("a main row factorized its degree")
+
+    monkeypatch.setattr(census, "jordan_totient", not_called)
+    monkeypatch.setattr(census, "factorize", not_called)
+    assert len(list(rows("main", range(3, 5001)))) == 4998
+    builds = [6, 14, 30, 62, 126, 254, 510, 1022, 2046, 4094, 8190]
+    assert bounds == {"sigma_table": [b for b in builds for _ in (1, 3)], "jordan_table": builds}
+    assert sum(builds) <= 4 * 5000
+
+
+def test_a_cycles_row_factorizes_its_degree_once(monkeypatch):
+    from permcensus import arith
+
+    calls, real = [], arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(census, "factorize", counting)
+    assert len(list(rows("cycles", range(3, 1003)))) == 1000
+    assert calls == list(range(3, 1003))
+
+
 @pytest.mark.parametrize("layout", ["main", "cycles"])
 def test_rows_read_a_generator_of_degrees_as_they_read_a_list(layout):
     degrees = [300, 4, 257, 12]

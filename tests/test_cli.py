@@ -263,6 +263,25 @@ def test_the_identities_suite_checks_the_census_sigma_sieve(monkeypatch):
     assert "one*id1 = sigma1" in failures
 
 
+def test_the_identities_suite_checks_the_census_jordan_sieve(monkeypatch):
+    """A wrong J_2(360) in the sieve that main census rows read fails both j2 chains."""
+    from permcensus import arith, verify
+
+    sieve = arith.jordan_table
+
+    def sieve_with_a_wrong_j2_360(bound, k):
+        table = sieve(bound, k)
+        if k == 2:
+            table[360] += 1
+        return table
+
+    monkeypatch.setattr(arith, "jordan_table", sieve_with_a_wrong_j2_360)
+    failures = [label for label, passed in verify._suite_identities(5) if not passed]
+    for label in ("one*j2 = id2", "id2*mu = j2",
+                  "moebius scaled divisor sums match Euler products (k <= 2, n <= 500)"):
+        assert label in failures
+
+
 def test_the_euler_product_check_reads_the_suite_phi_sieve(monkeypatch):
     """A wrong phi(360) in the totient sieve fails the Euler-product check and both phi chains."""
     from permcensus import arith, verify
@@ -395,10 +414,12 @@ def limit_address_space():
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_AS on this system")
-@pytest.mark.parametrize("argv", [("census", "--from", "1000000000000", "--to", "1000000000000"),
-                                  ("census", "--to", "1000000000000"),
-                                  ("census", "--from", "9223372036854775807",
-                                   "--to", "9223372036854775807")])
+@pytest.mark.parametrize("argv", [
+    pytest.param(("census", "--from", "1000000000000", "--to", "1000000000000"), id="argv0"),
+    # census --to 10**12 is not out of memory: it streams its rows (the next test).
+    pytest.param(("census", "--from", "9223372036854775807", "--to", "9223372036854775807"),
+                 id="argv2"),
+])
 def test_out_of_memory_is_one_line_and_exit_1(argv):
     result = subprocess.run([sys.executable, "-m", "permcensus", *argv], capture_output=True,
                             text=True, preexec_fn=limit_address_space)
@@ -406,6 +427,25 @@ def test_out_of_memory_is_one_line_and_exit_1(argv):
     assert result.stdout == ""
     assert result.stderr == (
         "permcensus: out of memory: census needs more than this process may use\n")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_AS on this system")
+def test_a_range_too_large_for_memory_still_streams_its_first_rows():
+    """census --to 10**12 under the same cap, read like `| head -2`: no table spans the range."""
+    proc = subprocess.Popen([sys.executable, "-m", "permcensus", "census", "--to", "1000000000000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=limit_address_space)
+    try:
+        first_two = [proc.stdout.readline(), proc.stdout.readline()]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first_two == GOLDEN.read_text().splitlines(keepends=True)[:2]
+    assert code == 0
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [("census", "--to", "5"),
@@ -553,6 +593,7 @@ def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
     monkeypatch.setattr(census, "count_b", not_read)
     monkeypatch.setattr(census, "partition_numbers", not_read)
     monkeypatch.setattr(census, "sigma_table", not_read)
+    monkeypatch.setattr(census, "jordan_table", not_read)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert out == want

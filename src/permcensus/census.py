@@ -198,15 +198,13 @@ COLUMNS = {
 def rows(layout: str, degrees):
     """Yield the row of layout at each degree of degrees (any iterable), in order.
 
-    Each row is computed when it is asked for.  A main run starts with
-    empty t and J_2 tables; a row past their end rebuilds both up to twice
-    its degree.  So the first row waits only for tables to twice its
-    degree, and as each build is at least twice as long as the one before,
-    the builds of a range together span at most four times its largest
-    degree.  A main run draws P(0), P(1), ... from partition_numbers() only
-    as far as each row needs.  A cycles row factorizes its degree once and
-    builds no table.  An unknown layout raises ValueError when iteration
-    starts.
+    Each row is computed when it is asked for.  A main row past the end of
+    the t and J_2 tables rebuilds both up to twice its degree, so the first
+    row waits only for tables to twice its own degree, and the builds of a
+    range, each at least twice the last, span at most four times its
+    largest degree.  Each main row draws P only as far as its degree.  A
+    cycles row factorizes its degree once and builds no table.  An unknown
+    layout raises ValueError when iteration starts.
     """
     if layout == "main":
         t = j2 = ()

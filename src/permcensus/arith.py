@@ -110,8 +110,8 @@ def sigma_table(bound: int, k: int = 1) -> list[int]:
 
 
 def totient_table(bound: int) -> list[int]:
-    """Euler's totient phi(i) for i in 0..bound as a new list (slot 0 holds 0)."""
-    return _multiplicative_table(bound, lambda p, pe, below: pe - pe // p)
+    """Euler's totient phi(i) = J_1(i) for i in 0..bound as a new list (slot 0 holds 0)."""
+    return jordan_table(bound, 1)
 
 
 def jordan_table(bound: int, k: int) -> list[int]:

@@ -25,7 +25,8 @@ columns COLUMNS[layout]; counts are integers and ratios exact Fractions:
 Each row computes only the counts its layout prints.  A main run grows
 its t and J_2 tables by doubling as its rows reach past them, and draws P
 from partitions.partition_numbers() only as far as each row needs.
-limit_diagnostics reads its p1, p2 and pa values off these ratio columns.
+census_row reads its six counts off these rows, and limit_diagnostics its
+p1, p2 and pa values off their ratio columns.
 
 All formulas are exact integer arithmetic with explicit divisibility
 checks; a non-integer intermediate would indicate a programming error,
@@ -176,16 +177,10 @@ class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
 
 
 def census_row(n: int) -> CensusRow:
-    """All six normalized counts at degree n."""
-    return CensusRow(
-        n=n,
-        b=count_b(n),
-        a=count_a(n),
-        b1=count_b1(n),
-        a1=count_a1(n),
-        b2=count_b2(n),
-        a2=count_a2(n),
-    )
+    """All six normalized counts at degree n, read off its main and cycles rows."""
+    _, a, b, _ = next(rows("main", (n,)))
+    _, a1, b1, _, a2, b2, _ = next(rows("cycles", (n,)))
+    return CensusRow(n, b, a, b1, a1, b2, a2)
 
 
 # The census layouts and their column names.

@@ -66,14 +66,16 @@ def is_transitive(group: Group) -> bool:
     return len(orbit(group, 1)) == len(group[0])
 
 
-def _merge_closure(images: Group, parent: list[int], x: int, y: int) -> int:
-    """Merge the classes of x and y, then close the union-find under the generators.
+def _merge_closure(images: Group, x: int, y: int) -> tuple[int, list[int]]:
+    """Merge x and y in a fresh union-find on 1..n, then close it under the generators.
 
     Whenever the classes of u and v merge, the classes of g(u) and g(v) are
-    merged too, for every generator image g.  Returns the number of merges;
-    it stops as soon as len(parent) - 2 merges have made one class of 1..n.
-    The class of x is then the smallest block containing x and y.
+    merged too, for every generator image g of degree n.  Returns the number
+    of merges and the union-find parent list (slot 0 unused); it stops as
+    soon as n - 1 merges have made one class of 1..n.  The class of x is
+    then the smallest block containing x and y.
     """
+    parent = list(range(len(images[0]) + 1))
     full = len(parent) - 2
     merges = 0
     queue = [(x, y)]
@@ -91,7 +93,7 @@ def _merge_closure(images: Group, parent: list[int], x: int, y: int) -> int:
             break
         for img in images:
             queue.append((img[u - 1], img[v - 1]))
-    return merges
+    return merges, parent
 
 
 def is_primitive(group: Group) -> bool:
@@ -107,8 +109,7 @@ def is_primitive(group: Group) -> bool:
         raise ValueError(f"primitivity needs degree >= 2, got {n}")
     if not is_transitive(group):
         return False
-    return all(_merge_closure(group, list(range(n + 1)), 1, y) == n - 1
-               for y in range(2, n + 1))
+    return all(_merge_closure(group, 1, y)[0] == n - 1 for y in range(2, n + 1))
 
 
 def group_order(group: Group) -> int:
@@ -189,7 +190,7 @@ def jordan_route(s: Sequence[int], t: Sequence[int]) -> str | None:
     cycle = three_cycle(s, t)
     if cycle is None:
         return None if is_primitive((s, t)) else NEITHER
-    if _merge_closure((s, t), list(range(n + 1)), cycle[0], cycle[1]) != n - 1:
+    if _merge_closure((s, t), cycle[0], cycle[1])[0] != n - 1:
         return NEITHER
     return ALT if signature(s) == 1 and signature(t) == 1 else SYM
 

@@ -3,11 +3,11 @@
 Each suite yields a (label, passed) pair per check; cmd_verify collects
 the failed labels, times each suite and prints:
 
-  formulas    closed forms vs brute-force enumeration, every family, 3..--max-n
+  formulas    the census rows vs brute-force enumeration, every family, 3..--max-n
   identities  Dirichlet convolution chains, inverses, Euler products, t = sigma*A
               and the additive convolution sums of divisor sums and partitions
   origami     cylinder diagram round trips, primitivity criteria, twist counts
-  characters  the Frobenius character sum vs count_b, squared dimensions
+  characters  the Frobenius character sum vs the census b, squared dimensions
   bounds      the psi sandwich, count bounds and divisor-sum inequalities
 
 The command line loads this module only for `permcensus verify`, so that
@@ -30,24 +30,17 @@ _Checks = Iterator[tuple[str, bool]]
 
 
 def _suite_formulas(max_n: int) -> _Checks:
-    """Closed formulas vs brute-force enumeration, every family, 3..max_n."""
-    formulas = {
-        "B": census.count_b,
-        "A": census.count_a,
-        "B1": census.count_b1,
-        "A1": census.count_a1,
-        "B2": census.count_b2,
-        "A2": census.count_a2,
-    }
+    """census_row(n) vs brute-force enumeration, 3..max_n; family A1 is the row's field a1."""
     for n in range(3, max_n + 1):
         fact = factorial(n)
         counts = oracle.brute_counts(n)
-        for family, formula in formulas.items():
+        row = census.census_row(n)
+        for family in oracle.FAMILIES:
             brute = counts[family]
             if brute % fact:
                 yield f"{family}({n}) brute count not divisible by n!", False
                 continue
-            yield f"{family}({n}) formula vs oracle", formula(n) == brute // fact
+            yield f"{family}({n}) formula vs oracle", getattr(row, family.lower()) == brute // fact
 
 
 def _suite_identities(max_n: int) -> _Checks:
@@ -162,7 +155,7 @@ def _suite_characters(max_n: int) -> _Checks:
         frob = characters.frobenius_threecycle_sum(n)
         total = factorial(n) * class_size * frob
         yield (f"character sum counts all pairs at n = {n}",
-               total == census.count_b(n) * factorial(n))
+               total == census.census_row(n).b * factorial(n))
         dims_sq = sum(
             characters.dimension(lam) ** 2 for lam in characters.young_diagrams(n)
         )

@@ -19,6 +19,7 @@ from permcensus.arith import (
     sigma_table,
 )
 from permcensus.census import (
+    CensusRow,
     _t_table,
     bound_report,
     census_row,
@@ -162,6 +163,18 @@ def test_census_row_and_probabilities():
     assert row.p1 == 1
     assert row.p2 == Fraction(19, 31)
     assert row.pa == Fraction(27, 42)
+
+
+def test_census_row_reads_the_rows_that_match_the_count_functions():
+    for n in [*range(3, 301), 2310]:
+        want = CensusRow(n, count_b(n), count_a(n), count_b1(n), count_a1(n), count_b2(n),
+                         count_a2(n))
+        assert census_row(n) == want
+
+
+def test_census_row_rejects_a_degree_below_three():
+    with pytest.raises(ValueError, match="family counts need n >= 3, got 2"):
+        census_row(2)
 
 
 def test_prime_case_probability_is_one():

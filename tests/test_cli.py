@@ -186,7 +186,8 @@ def test_verify_characters_reaches_degree_8(capsys, monkeypatch):
     from permcensus import census
 
     real_count_b = census.count_b
-    monkeypatch.setattr(census, "count_b", lambda n: real_count_b(n) + (n == 8))
+    monkeypatch.setattr(census, "count_b",
+                        lambda n, *tables: real_count_b(n, *tables) + (n == 8))
     code, out, _ = run_cli(
         capsys, "verify", "--suites", "characters", "--max-n", "8", "--allow-n8"
     )
@@ -280,6 +281,23 @@ def test_the_identities_suite_checks_the_census_jordan_sieve(monkeypatch):
     for label in ("one*j2 = id2", "id2*mu = j2",
                   "moebius scaled divisor sums match Euler products (k <= 2, n <= 500)"):
         assert label in failures
+
+
+def test_the_formulas_suite_checks_the_census_jordan_sieve(monkeypatch):
+    """J_2(6) off by 8 in the sieve that main census rows read fails exactly A(6)."""
+    from permcensus import census, verify
+
+    sieve = census.jordan_table
+
+    def sieve_with_a_wrong_j2_6(bound, k):
+        table = sieve(bound, k)
+        if k == 2 and bound >= 6:
+            table[6] += 8  # keeps 3 (n - 2) J_2(n) / 8 an integer
+        return table
+
+    monkeypatch.setattr(census, "jordan_table", sieve_with_a_wrong_j2_6)
+    failures = [label for label, passed in verify._suite_formulas(7) if not passed]
+    assert failures == ["A(6) formula vs oracle"]
 
 
 def test_the_euler_product_check_reads_the_suite_phi_sieve(monkeypatch):

@@ -84,9 +84,8 @@ def test_generated_group_validation():
 
 
 def closure_class(group, x, y):
-    """The class of x after _merge_closure has merged x and y in a fresh union-find."""
-    parent = list(range(len(group[0]) + 1))
-    _merge_closure(group, parent, x, y)
+    """The class of x after _merge_closure has merged x and y in its fresh union-find."""
+    _, parent = _merge_closure(group, x, y)
 
     def root(a):
         while parent[a] != a:

@@ -1,4 +1,4 @@
-"""Closed-form family counts, probability diagnostics, and inequality sweeps.
+"""Closed-form family counts, their census rows, and inequality sweeps.
 
 Six families of ordered pairs (s, t) in S_n x S_n are counted, each
 normalized by n! (the raw counts are all divisible by n!):
@@ -25,8 +25,7 @@ columns COLUMNS[layout]; counts are integers and ratios exact Fractions:
 Each row computes only the counts its layout prints.  A main run grows
 its t and J_2 tables by doubling as its rows reach past them, and draws P
 from partitions.partition_numbers() only as far as each row needs.
-census_row reads its six counts off these rows, and limit_diagnostics its
-p1, p2 and pa values off their ratio columns.
+census_row reads its six counts off these rows.
 
 All formulas are exact integer arithmetic with explicit divisibility
 checks; a non-integer intermediate would indicate a programming error,
@@ -151,12 +150,7 @@ def psi(a, n: int):
 
 
 class CensusRow(namedtuple("CensusRow", "n b a b1 a1 b2 a2")):
-    """All six normalized family counts at one degree.
-
-    p1, p2 and pa are the plain ratios a1/b1, a2/b2 and a/b;
-    limit_diagnostics("p2") and ("pa") read the rescaled census columns
-    n*a2/b2 and P(n)*a/(n*b) instead.
-    """
+    """All six normalized family counts at one degree; p1, p2 and pa are a1/b1, a2/b2 and a/b."""
 
     __slots__ = ()
 
@@ -194,19 +188,21 @@ def rows(layout: str, degrees):
     """Yield the row of layout at each degree of degrees (any iterable), in order.
 
     Each row is computed when it is asked for.  A main row past the end of
-    the t and J_2 tables rebuilds both up to twice its degree, so the first
-    row waits only for tables to twice its own degree, and the builds of a
-    range, each at least twice the last, span at most four times its
-    largest degree.  Each main row draws P only as far as its degree.  A
-    cycles row factorizes its degree once and builds no table.  An unknown
-    layout raises ValueError when iteration starts.
+    the t and J_2 tables rebuilds both up to its degree or twice their last
+    bound, whichever is larger, so the first row waits only for tables to
+    its own degree, no build passes twice the degree that triggers it, and
+    the builds of a range, each at least twice the last, span less than
+    four times its largest degree.  Each main row draws P only as far as
+    its degree.  A cycles row factorizes its degree once and builds no
+    table.  An unknown layout raises ValueError when iteration starts.
     """
     if layout == "main":
         t = j2 = ()
         stream, p = partition_numbers(), []
         for n in degrees:
             if n >= len(t):
-                t, j2 = _t_table(sigma_table(2 * n)), jordan_table(2 * n, 2)
+                bound = max(2 * (len(t) - 1), n)
+                t, j2 = _t_table(sigma_table(bound)), jordan_table(bound, 2)
             while len(p) <= n:
                 p.append(next(stream))
             a, b = count_a(n, j2), count_b(n, (p, t))
@@ -218,28 +214,6 @@ def rows(layout: str, degrees):
             yield n, a1, b1, Fraction(a1, b1), a2, b2, Fraction(n * a2, b2)
     else:
         raise ValueError(f"unknown layout {layout!r}; expected one of {', '.join(COLUMNS)}")
-
-
-# One sampled value of a probability diagnostic: the degree and the exact ratio.
-DiagnosticPoint = namedtuple("DiagnosticPoint", "n exact")
-
-# The layout and ratio column of rows() that each diagnostic reads.
-_DIAGNOSTICS = {"p1": ("cycles", "proba1"), "p2": ("cycles", "proba2"), "pa": ("main", "proba")}
-
-
-def limit_diagnostics(kind: str, degrees) -> list[DiagnosticPoint]:
-    """Sampled probability diagnostics.
-
-    kind "p1" is a1/b1 (dips toward 6/pi^2 at degrees rich in small
-    primes, returns to 1 at primes); kind "p2" is n*a2/b2 (same shape
-    around 24/pi^2); kind "pa" is P(n)*a/(n*b), the generating
-    probability rescaled by its decay rate.
-    """
-    if kind not in _DIAGNOSTICS:
-        raise ValueError(f"unknown diagnostic {kind!r}; expected p1, p2 or pa")
-    layout, column = _DIAGNOSTICS[kind]
-    i = COLUMNS[layout].index(column)
-    return [DiagnosticPoint(row[0], row[i]) for row in rows(layout, degrees)]
 
 
 class BoundReport(namedtuple("BoundReport", "n_max epsilon strict_failures epsilon_failures")):

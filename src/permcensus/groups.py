@@ -1,10 +1,9 @@
 """Permutation groups given by generators: orbits, primitivity, order, classification.
 
 A group is the tuple of its generators, and each generator is an image
-tuple as in perm: entry x - 1 is the image of the point x, points are
-1-based, and a perm.Permutation (the validated parse/print type) serves
-as well as a plain tuple.  generated() builds such a group and checks
-it; the routines here read the group's degree off its first generator.
+tuple as in perm: entry x - 1 is the image of the point x, and points
+are 1-based.  generated() builds such a group and checks it; the
+routines here read the group's degree off its first generator.
 The 3-cycle certificate of jordan_route comes from perm.three_cycle;
 group_order builds Knuth's Sims table, up to degree MAX_ORDER_DEGREE.
 """

@@ -2,14 +2,13 @@
 
 A permutation is its image tuple: entry x - 1 is the image of the point
 x, so points are 1-based everywhere.  compose, inverse, commutator,
-three_cycle, cycle_structure and signature take any such tuple, and the
-first three return plain tuples, as does block_cycles, the class
-representative of a cycle type that the oracle and the origami builders
-share.  Permutation is the validated type for parsing and printing: a
-tuple subclass whose constructor checks the bijection, so every
-Permutation is also an image tuple.  Disjoint-cycle data is ordered by
-(and each cycle started at) its minimal element, so printed forms are
-canonical.
+three_cycle, cycle_structure and signature take any such tuple, and
+every function here that returns a permutation returns a plain tuple:
+block_cycles, the class representative of a cycle type that the oracle
+and the origami builders share, and from_cycles and parse_cycles, whose
+range and disjointness checks make every result a bijection.
+Disjoint-cycle data is ordered by (and each cycle started at) its
+minimal element, so printed forms are canonical.
 """
 
 from __future__ import annotations
@@ -18,37 +17,6 @@ import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from math import factorial
-
-
-class Permutation(tuple):
-    """A bijection of {1, ..., n}; self[x - 1] is the image of the point x."""
-
-    __slots__ = ()
-
-    def __new__(cls, image: Iterable[int]) -> Permutation:
-        self = super().__new__(cls, image)
-        if sorted(self) != list(range(1, len(self) + 1)):
-            raise ValueError("image table is not a bijection of 1..n")
-        return self
-
-    @property
-    def degree(self) -> int:
-        return len(self)
-
-    def __call__(self, x: int) -> int:
-        if not 1 <= x <= len(self):
-            raise ValueError(f"point {x} outside 1..{len(self)}")
-        return self[x - 1]
-
-    def __str__(self) -> str:
-        return cycles_string(self)
-
-
-def identity(n: int) -> Permutation:
-    """The identity permutation of degree n."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    return Permutation(range(1, n + 1))
 
 
 def compose(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
@@ -110,8 +78,8 @@ def block_cycles(lengths: Iterable[int]) -> tuple[int, ...]:
     return tuple(img)
 
 
-def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> Permutation:
-    """Build a permutation from disjoint cycles; omitted points stay fixed."""
+def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> tuple[int, ...]:
+    """The image tuple of disjoint cycles on 1..degree; omitted points stay fixed."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     img = list(range(1, degree + 1))
@@ -126,13 +94,13 @@ def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> Permutation:
             seen.add(p)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b
-    return Permutation(img)
+    return tuple(img)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
+def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse cycle notation like "(1 2 3)(7 8 9)"; commas also separate points."""
     leftovers = _CYCLE_RE.sub("", text)
     if leftovers.strip():

@@ -153,9 +153,8 @@ def _suite_characters(max_n: int) -> _Checks:
     for n in range(3, max_n + 1):
         class_size = n * (n - 1) * (n - 2) // 3
         frob = characters.frobenius_threecycle_sum(n)
-        total = factorial(n) * class_size * frob
         yield (f"character sum counts all pairs at n = {n}",
-               total == census.census_row(n).b * factorial(n))
+               class_size * frob == census.census_row(n).b)
         dims_sq = sum(
             characters.dimension(lam) ** 2 for lam in characters.young_diagrams(n)
         )

@@ -29,7 +29,6 @@ from permcensus.census import (
     count_b,
     count_b1,
     count_b2,
-    limit_diagnostics,
     psi,
     rows,
     significant_digits,
@@ -191,33 +190,31 @@ def test_p1_never_exceeds_one(n):
     assert 0 < row.pa <= 1
 
 
-def test_limit_diagnostics_p1():
-    points = limit_diagnostics("p1", [5, 7, 30, 210, 2310])
-    assert points[0].exact == 1
-    assert points[1].exact == 1
+def column(layout, name, degrees):
+    """The values of the named rows column at each degree."""
+    i = census.COLUMNS[layout].index(name)
+    return [row[i] for row in rows(layout, degrees)]
+
+
+def test_proba1_is_one_at_primes_and_falls_along_primorials_above_six_over_pi_squared():
+    values = column("cycles", "proba1", [5, 7, 30, 210, 2310])
+    assert values[0] == 1
+    assert values[1] == 1
     six_over_pi2 = 6 / math.pi**2
-    primorials = [float(pt.exact) for pt in points[2:]]
+    primorials = [float(value) for value in values[2:]]
     assert primorials[0] > primorials[1] > primorials[2]
     assert all(value > six_over_pi2 for value in primorials)
 
 
-def test_limit_diagnostics_p2():
-    points = limit_diagnostics("p2", [30, 210, 2310])
-    values = [float(pt.exact) for pt in points]
+def test_proba2_falls_along_primorials_above_twenty_four_over_pi_squared():
+    values = [float(value) for value in column("cycles", "proba2", [30, 210, 2310])]
     assert values[0] > values[1] > values[2]
     assert all(value > 24 / math.pi**2 for value in values)
 
 
-def test_limit_diagnostics_pa():
-    points = limit_diagnostics("pa", [50, 100, 150, 200, 255])
-    for pt in points:
-        assert 0 < float(pt.exact) < 1
-
-
-@pytest.mark.parametrize("degrees", [[], [2], [5]])
-def test_limit_diagnostics_rejects_an_unknown_kind_before_any_degree(degrees):
-    with pytest.raises(ValueError, match="unknown diagnostic"):
-        limit_diagnostics("p3", degrees)
+def test_main_proba_lies_strictly_between_zero_and_one():
+    for value in column("main", "proba", [50, 100, 150, 200, 255]):
+        assert 0 < float(value) < 1
 
 
 COMPOSITE_DEGREES = [4, 6, 12, 30, 60, 210, 2310]
@@ -246,15 +243,6 @@ def test_rows_match_their_column_names():
     for layout, header in census.COLUMNS.items():
         assert all(len(row) == len(header) for row in rows(layout, range(3, 20)))
     assert list(rows("main", [])) == list(rows("cycles", [])) == []
-
-
-@pytest.mark.parametrize("kind, layout, column",
-                         [("p1", "cycles", "proba1"), ("p2", "cycles", "proba2"),
-                          ("pa", "main", "proba")])
-def test_limit_diagnostics_read_the_matching_rows_column(kind, layout, column):
-    i = census.COLUMNS[layout].index(column)
-    want = [(row[0], row[i]) for row in rows(layout, COMPOSITE_DEGREES)]
-    assert [tuple(point) for point in limit_diagnostics(kind, COMPOSITE_DEGREES)] == want
 
 
 @pytest.mark.parametrize("degrees", [[], [3]])
@@ -319,8 +307,15 @@ def record_table_bounds(monkeypatch) -> dict[str, list[int]]:
 def test_the_first_row_of_a_wide_main_run_sieves_no_table_past_twice_its_degree(monkeypatch):
     bounds = record_table_bounds(monkeypatch)
     assert next(rows("main", range(3, 5001)))[0] == 3
-    # sigma and sigma_3 for t, and J_2, each once and each up to 2 * 3.
-    assert bounds == {"sigma_table": [6, 6], "jordan_table": [6]}
+    # sigma and sigma_3 for t, and J_2, each once and each up to 3.
+    assert bounds == {"sigma_table": [3, 3], "jordan_table": [3]}
+
+
+@pytest.mark.parametrize("n", [3, 4, 255, 2310])
+def test_a_one_degree_census_row_sieves_no_table_past_its_degree(monkeypatch, n):
+    bounds = record_table_bounds(monkeypatch)
+    census_row(n)
+    assert bounds == {"sigma_table": [n, n], "jordan_table": [n]}
 
 
 def test_a_main_run_doubles_its_tables_and_factorizes_no_degree(monkeypatch):
@@ -332,7 +327,7 @@ def test_a_main_run_doubles_its_tables_and_factorizes_no_degree(monkeypatch):
     monkeypatch.setattr(census, "jordan_totient", not_called)
     monkeypatch.setattr(census, "factorize", not_called)
     assert len(list(rows("main", range(3, 5001)))) == 4998
-    builds = [6, 14, 30, 62, 126, 254, 510, 1022, 2046, 4094, 8190]
+    builds = [3 * 2**k for k in range(12)]  # 3, 6, 12, ..., 6144
     assert bounds == {"sigma_table": [b for b in builds for _ in (1, 3)], "jordan_table": builds}
     assert sum(builds) <= 4 * 5000
 

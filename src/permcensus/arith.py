@@ -109,11 +109,6 @@ def sigma_table(bound: int, k: int = 1) -> list[int]:
     return _multiplicative_table(bound, lambda p, pe, below: below + pe**k)
 
 
-def totient_table(bound: int) -> list[int]:
-    """Euler's totient phi(i) = J_1(i) for i in 0..bound as a new list (slot 0 holds 0)."""
-    return jordan_table(bound, 1)
-
-
 def jordan_table(bound: int, k: int) -> list[int]:
     """Jordan's totient J_k(i) for i in 0..bound as a new list (slot 0 holds 0), for k >= 1."""
     if k < 1:

@@ -23,8 +23,10 @@ columns COLUMNS[layout]; counts are integers and ratios exact Fractions:
   cycles  n  a1 b1 proba1 a2 b2 proba2     proba1 = a1/b1, proba2 = n a2/b2
 
 Each row computes only the counts its layout prints.  A main run grows
-its t and J_2 tables by doubling as its rows reach past them, and draws P
-from partitions.partition_numbers() only as far as each row needs.
+its t and J_2 tables by doubling as its rows reach past them, draws P
+from partitions.partition_numbers() only as far as each row needs, and
+sums each b = (t * P)(n) with _p_sum on those tables; count_b(n), which
+builds its own tables, is the reference the rows are tested against.
 census_row reads its six counts off these rows.
 
 All formulas are exact integer arithmetic with explicit divisibility
@@ -111,17 +113,16 @@ def _p_sum(weights, p, n: int):
     return sum(map(operator.mul, weights[1 : n + 1], p[n - 1 :: -1]))
 
 
-def count_b(n: int, tables: tuple | None = None) -> int:
+def count_b(n: int) -> int:
     """All pairs with 3-cycle commutator, over n!: (t * P)(n) = sum_k t(k) P(n-k).
 
     The sum runs over 1 <= k <= n.  It equals the paper's
     (3/8) [ sum_k sigma_3(k) P(n-k) - 2 sum_k k sigma(k) P(n-k) + n P(n) ]
-    because n P(n) = sum_k sigma(k) P(n-k).  tables is the pair (P, t) of
-    sequences that reach degree n; without it count_b builds both up to n.
+    because n P(n) = sum_k sigma(k) P(n-k).  count_b builds its own P and t
+    tables up to n: it is the one-degree reference that rows is tested against.
     """
     _check_degree(n)
-    p, t = tables or (partition_table(n), _t_table(sigma_table(n)))
-    return _p_sum(t, p, n)
+    return _p_sum(_t_table(sigma_table(n)), partition_table(n), n)
 
 
 def count_a(n: int, j2: list | None = None) -> int:
@@ -193,8 +194,9 @@ def rows(layout: str, degrees):
     its own degree, no build passes twice the degree that triggers it, and
     the builds of a range, each at least twice the last, span less than
     four times its largest degree.  Each main row draws P only as far as
-    its degree.  A cycles row factorizes its degree once and builds no
-    table.  An unknown layout raises ValueError when iteration starts.
+    its degree and sums its b with _p_sum on these tables.  A cycles row
+    factorizes its degree once and builds no table.  An unknown layout
+    raises ValueError when iteration starts.
     """
     if layout == "main":
         t = j2 = ()
@@ -205,7 +207,7 @@ def rows(layout: str, degrees):
                 t, j2 = _t_table(sigma_table(bound)), jordan_table(bound, 2)
             while len(p) <= n:
                 p.append(next(stream))
-            a, b = count_a(n, j2), count_b(n, (p, t))
+            a, b = count_a(n, j2), _p_sum(t, p, n)
             yield n, a, b, Fraction(p[n] * a, n * b)
     elif layout == "cycles":
         for n in degrees:

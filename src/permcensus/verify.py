@@ -57,7 +57,7 @@ def _suite_identities(max_n: int) -> _Checks:
         "tau": arith.ArithSeq(tuple(arith.sigma_table(bound, 0))),
         "sigma1": arith.ArithSeq(tuple(arith.sigma_table(bound, 1))),
         "sigma3": arith.ArithSeq(tuple(arith.sigma_table(bound, 3))),
-        "phi": arith.ArithSeq(tuple(arith.totient_table(bound))),
+        "phi": arith.ArithSeq(tuple(arith.jordan_table(bound, 1))),
         "j2": arith.ArithSeq(tuple(arith.jordan_table(bound, 2))),
         "j3": arith.ArithSeq(tuple(arith.jordan_table(bound, 3))),
     }
@@ -173,7 +173,7 @@ def _suite_bounds(max_n: int) -> _Checks:
          f"eps = {report.epsilon}: {last}")
     sig1 = arith.sigma_table(2000)
     sig3 = arith.sigma_table(2000, 3)
-    phi = arith.totient_table(2000)
+    phi = arith.jordan_table(2000, 1)
     yield ("sigma_3 < n^2 sigma (n <= 2000)",
            all(sig3[n] < n * n * sig1[n] for n in range(2, 2001)))
     yield ("sigma_3 > n phi(n) sigma (n <= 2000)",

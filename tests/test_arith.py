@@ -24,7 +24,6 @@ from permcensus.arith import (
     series_product,
     sigma_k,
     sigma_table,
-    totient_table,
 )
 
 N = 500
@@ -131,11 +130,12 @@ def test_sigma_table_rejects_negative_arguments(bound, k):
 
 
 def test_totient_table_matches_euler_phi():
-    assert totient_table(0) == [0]
-    assert totient_table(1) == [0, 1]
-    assert totient_table(3000) == [0] + [euler_phi(n) for n in range(1, 3001)]
+    """The totient table is jordan_table(bound, 1): phi is J_1."""
+    assert jordan_table(0, 1) == [0]
+    assert jordan_table(1, 1) == [0, 1]
+    assert jordan_table(3000, 1) == [0] + [euler_phi(n) for n in range(1, 3001)]
     with pytest.raises(ValueError):
-        totient_table(-1)
+        jordan_table(-1, 1)
 
 
 def test_jordan_table_matches_jordan_totient():
@@ -144,7 +144,6 @@ def test_jordan_table_matches_jordan_totient():
         for bound in (0, 1, 2, 10, 3000):
             assert jordan_table(bound, k) == [0] + [jordan_totient(n, k)
                                                    for n in range(1, bound + 1)]
-    assert jordan_table(3000, 1) == totient_table(3000)
 
 
 @pytest.mark.parametrize("bound, k", [(5, 0), (-1, 2)])

@@ -20,6 +20,7 @@ from permcensus.arith import (
 )
 from permcensus.census import (
     CensusRow,
+    _p_sum,
     _t_table,
     bound_report,
     census_row,
@@ -332,6 +333,19 @@ def test_a_main_run_doubles_its_tables_and_factorizes_no_degree(monkeypatch):
     assert sum(builds) <= 4 * 5000
 
 
+def test_main_rows_sum_b_without_count_b(monkeypatch):
+    """A count_b that raises leaves rows 3..799, across ten table builds up to 1536, unchanged."""
+    want = list(rows("main", range(3, 800)))
+
+    def not_called(*args):
+        raise AssertionError("a main row called count_b")
+
+    monkeypatch.setattr(census, "count_b", not_called)
+    bounds = record_table_bounds(monkeypatch)
+    assert list(rows("main", range(3, 800))) == want
+    assert bounds["jordan_table"] == [3 * 2**k for k in range(10)]  # 3, 6, ..., 1536
+
+
 def test_a_cycles_row_factorizes_its_degree_once(monkeypatch):
     from permcensus import arith
 
@@ -411,18 +425,18 @@ def test_count_b_matches_the_three_sum_formula():
     bound = 2000
     sig3, table = sigma_table(bound, 3), partition_table(bound)
     ksig = [k * s for k, s in enumerate(sigma_table(bound))]
-    tables = table, _t_table(sigma_table(bound))
-    series = series_product(tables[1], table)
+    t = _t_table(sigma_table(bound))
+    series = series_product(t, table)
     for n in range(3, bound + 1):
         rev = table[n - 1 :: -1]
         s3 = sum(map(operator.mul, sig3[1 : n + 1], rev))
         s1 = sum(map(operator.mul, ksig[1 : n + 1], rev))
         formula = Fraction(3 * (s3 - 2 * s1 + n * table[n]), 8)
-        assert formula == count_b(n, tables) == count_b(n) == series[n], n
+        assert formula == _p_sum(t, table, n) == count_b(n) == series[n], n
 
 
 def test_build_tables_are_tuples_of_bound_plus_one_entries():
-    """The (P, t) pair that count_b takes has bound + 1 entries in each table.
+    """The P and t tables that a main row sums with _p_sum have bound + 1 entries each.
 
     t is a tuple whose every t(k) equals 3 (sigma_3(k) - (2k - 1) sigma(k)) / 8.
     """
@@ -463,12 +477,13 @@ def test_t_table_refuses_a_t_entry_that_is_not_an_integer():
 
 
 def test_count_b_refuses_tables_that_end_before_n():
-    short = partition_table(9), _t_table(sigma_table(9))
+    """The b sum of a main row, _p_sum(t, P, n), refuses a t or P table that ends before n."""
+    p, t = partition_table(9), _t_table(sigma_table(9))
     with pytest.raises(ArithmeticError, match="before 10"):
-        count_b(10, short)
+        _p_sum(t, p, 10)
     with pytest.raises(ArithmeticError, match="before 10"):
-        count_b(10, (partition_table(10), short[1]))
-    assert count_b(9, short) == count_b(9)
+        _p_sum(t, partition_table(10), 10)
+    assert _p_sum(t, p, 9) == count_b(9)
 
 
 def test_significant_digits():

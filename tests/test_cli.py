@@ -185,9 +185,14 @@ def test_verify_characters_json(capsys):
 def test_verify_characters_reaches_degree_8(capsys, monkeypatch):
     from permcensus import census
 
-    real_count_b = census.count_b
-    monkeypatch.setattr(census, "count_b",
-                        lambda n, *tables: real_count_b(n, *tables) + (n == 8))
+    # One more t(8) adds t(8) P(0) = 1 to B(8) and to no B(n) below it.
+    real_t_table = census._t_table
+
+    def t_table_with_t8_plus_1(sig):
+        t = real_t_table(sig)
+        return t[:8] + (t[8] + 1,) + t[9:] if len(t) > 8 else t
+
+    monkeypatch.setattr(census, "_t_table", t_table_with_t8_plus_1)
     code, out, _ = run_cli(
         capsys, "verify", "--suites", "characters", "--max-n", "8", "--allow-n8"
     )
@@ -301,18 +306,18 @@ def test_the_formulas_suite_checks_the_census_jordan_sieve(monkeypatch):
 
 
 def test_the_euler_product_check_reads_the_suite_phi_sieve(monkeypatch):
-    """A wrong phi(360) in the totient sieve fails the Euler-product check and both phi chains."""
+    """A wrong J_1(360) = phi(360) fails the Euler-product check and both phi chains."""
     from permcensus import arith, verify
 
-    sieve = arith.totient_table
+    sieve = arith.jordan_table
 
-    def sieve_with_a_wrong_phi_360(bound):
-        table = sieve(bound)
-        if bound >= 360:
+    def sieve_with_a_wrong_phi_360(bound, k):
+        table = sieve(bound, k)
+        if k == 1 and bound >= 360:
             table[360] += 1
         return table
 
-    monkeypatch.setattr(arith, "totient_table", sieve_with_a_wrong_phi_360)
+    monkeypatch.setattr(arith, "jordan_table", sieve_with_a_wrong_phi_360)
     failures = [label for label, passed in verify._suite_identities(5) if not passed]
     for label in ("moebius scaled divisor sums match Euler products (k <= 2, n <= 500)",
                   "one*phi = id1", "tau*phi = sigma1"):
@@ -566,14 +571,14 @@ def test_wide_census_matches_recorded_digest(argv, want):
 def test_census_writes_each_row_before_computing_the_next(capsys, monkeypatch):
     from permcensus import census
 
-    real_count_b = census.count_b
+    real_count_a = census.count_a
 
-    def fails_at_10(n, tables=None):
+    def fails_at_10(n, j2=None):
         if n == 10:
-            raise ArithmeticError("count_b(10) is not an integer (this is a bug)")
-        return real_count_b(n, tables)
+            raise ArithmeticError("count_a(10) is not an integer (this is a bug)")
+        return real_count_a(n, j2)
 
-    monkeypatch.setattr(census, "count_b", fails_at_10)
+    monkeypatch.setattr(census, "count_a", fails_at_10)
     with pytest.raises(ArithmeticError):
         main(["census", "--to", "20"])
     written = capsys.readouterr().out
@@ -609,6 +614,8 @@ def test_census_cycles_layout_reads_no_count_b(capsys, monkeypatch):
         raise AssertionError("the cycles layout prints no count_b column")
 
     monkeypatch.setattr(census, "count_b", not_read)
+    monkeypatch.setattr(census, "_t_table", not_read)
+    monkeypatch.setattr(census, "_p_sum", not_read)
     monkeypatch.setattr(census, "partition_numbers", not_read)
     monkeypatch.setattr(census, "sigma_table", not_read)
     monkeypatch.setattr(census, "jordan_table", not_read)

@@ -245,8 +245,9 @@ def bound_report(n_max: int) -> BoundReport:
       (8/3) count_b(n) < psi_2(n);  count_a(n) < (3/8) n^3;
       n P(n) <= psi_a(n) <= n^(a+1) P(n) for a in {0, 1, 2}.
     Reported only: psi_(2-eps)(n) < count_b(n) and n^(3-eps) < count_a(n)
-    at eps = EPSILON, which hold for large n.  psi_0, psi_1, psi_2 and
-    count_b are times_p streams; psi_(2-eps) is a float _p_sum per degree.
+    at eps = EPSILON, which hold for large n.  count_a and count_b are
+    read off rows("main"), the rows census prints; psi_0, psi_1 and psi_2
+    are times_p streams, and psi_(2-eps) is a float _p_sum per degree.
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
@@ -262,19 +263,16 @@ def bound_report(n_max: int) -> BoundReport:
         "generating_lower": [],
     }
     table = partition_table(n_max)
-    sig, j2 = sigma_table(n_max), jordan_table(n_max, 2)
-    # Slot 0 of the weights k^a sigma(k) and of t is 0, so entry n of their
-    # times_p stream is the sum over 1 <= k <= n: psi_a(n) and count_b(n).
+    sig = sigma_table(n_max)
+    # Slot 0 of the weights k^a sigma(k) is 0, so entry n of their times_p
+    # stream is the sum over 1 <= k <= n: psi_a(n).
     psis = {a_exp: list(times_p(_weights(a_exp, sig))) for a_exp in (0, 1, 2)}
-    counts_b = list(times_p(_t_table(sig)))
     weights_eps = _weights(2 - EPSILON, sig)
     # float * int converts the int as float() does, so converting P once
     # leaves every psi_(2-eps) sum bit-identical and saves it per degree.
     floats = list(map(float, table))
-    for n in range(3, n_max + 1):
+    for n, a_n, b_n, _ in rows("main", range(3, n_max + 1)):
         p_n = table[n]
-        b_n = counts_b[n]
-        a_n = count_a(n, j2)
         if not 8 * b_n < 3 * psis[2][n]:
             strict["commutator_upper"].append(n)
         if not 8 * a_n < 3 * n**3:

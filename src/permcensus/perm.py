@@ -5,8 +5,8 @@ x, so points are 1-based everywhere.  compose, inverse, commutator,
 three_cycle, cycle_structure and signature take any such tuple, and
 every function here that returns a permutation returns a plain tuple:
 block_cycles, the class representative of a cycle type that the oracle
-and the origami builders share, and from_cycles and parse_cycles, whose
-range and disjointness checks make every result a bijection.
+and the origami builders share, and parse_cycles, whose range and
+disjointness checks make every result a bijection.
 Disjoint-cycle data is ordered by (and each cycle started at) its
 minimal element, so printed forms are canonical.
 """
@@ -78,14 +78,23 @@ def block_cycles(lengths: Iterable[int]) -> tuple[int, ...]:
     return tuple(img)
 
 
-def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> tuple[int, ...]:
-    """The image tuple of disjoint cycles on 1..degree; omitted points stay fixed."""
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
+    """Parse cycle notation like "(1 2 3)(7 8 9)" on 1..degree; commas also separate points.
+
+    Omitted points stay fixed.  Every point must lie in 1..degree and in
+    at most one cycle, so the result is a bijection.
+    """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    if _CYCLE_RE.sub("", text).strip():
+        raise ValueError(f"malformed cycle notation: {text!r}")
     img = list(range(1, degree + 1))
     seen: set[int] = set()
-    for cycle in cycles:
-        pts = list(cycle)
+    for group in _CYCLE_RE.findall(text):
+        pts = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
         for p in pts:
             if not 1 <= p <= degree:
                 raise ValueError(f"point {p} outside 1..{degree}")
@@ -95,22 +104,6 @@ def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> tuple[int, ...]
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b
     return tuple(img)
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    """Parse cycle notation like "(1 2 3)(7 8 9)"; commas also separate points."""
-    leftovers = _CYCLE_RE.sub("", text)
-    if leftovers.strip():
-        raise ValueError(f"malformed cycle notation: {text!r}")
-    cycles = []
-    for group in _CYCLE_RE.findall(text):
-        pts = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
-        if pts:
-            cycles.append(pts)
-    return from_cycles(cycles, degree)
 
 
 def cycles_string(s: Sequence[int]) -> str:

@@ -101,8 +101,10 @@ def _suite_identities(max_n: int) -> _Checks:
         yield f"sigma convolution closed form {order} (n <= {ram_bound})", holds
     # t = sigma1*A: a surface in H(2) with n squares is a primitive one with d | n
     # squares composed with one of the sigma(n/d) sublattices of index n/d.
+    # A is read off a J_2 sieve, as the main census rows read it.
+    j2 = arith.jordan_table(ram_bound, 2)
     try:
-        gen = arith.ArithSeq((0, 0, 0, *map(census.count_a, range(3, ram_bound + 1))))
+        gen = arith.ArithSeq((0, 0, 0, *map(census.count_a, range(3, ram_bound + 1), repeat(j2))))
         holds = census._t_table(sig1) == conv(arith.ArithSeq(tuple(sig1)), gen).values
     except ArithmeticError:  # a count or a t(k) that is not an integer is wrong
         holds = False

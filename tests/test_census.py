@@ -412,6 +412,23 @@ def test_bound_report():
         bound_report(2)
 
 
+def test_bound_report_checks_the_b_that_main_rows_print(monkeypatch):
+    """A main row whose b at n = 50 is far too large fails the commutator upper bound there."""
+    real = census.rows
+
+    def rows_with_a_wrong_b_50(layout, degrees):
+        for row in real(layout, degrees):
+            if layout == "main" and row[0] == 50:
+                n, a, b, proba = row
+                row = n, a, b + 10**40, proba
+            yield row
+
+    monkeypatch.setattr(census, "rows", rows_with_a_wrong_b_50)
+    strict = bound_report(100).strict_failures
+    assert strict.pop("commutator_upper") == [50]
+    assert not any(strict.values())
+
+
 def test_times_p_matches_series_product_on_the_census_weights():
     """times_p and series_product agree on k^a sigma(k) for a = 0, 1, 2 and on t."""
     bound = 500

@@ -144,10 +144,10 @@ def test_verify_ties_t_to_the_generating_counts(capsys, monkeypatch, fault):
 
     real = census.count_a
 
-    def wrong_at_360(n):
+    def wrong_at_360(n, *tables):
         if n == 360 and fault.startswith("not"):
             raise ArithmeticError("count_a(360) is not an integer (this is a bug)")
-        return real(n) + (n == 360)
+        return real(n, *tables) + (n == 360)
 
     monkeypatch.setattr(census, "count_a", wrong_at_360)
     code, out, _ = run_cli(capsys, "verify", "--suites", "identities")
@@ -303,6 +303,23 @@ def test_the_formulas_suite_checks_the_census_jordan_sieve(monkeypatch):
     monkeypatch.setattr(census, "jordan_table", sieve_with_a_wrong_j2_6)
     failures = [label for label, passed in verify._suite_formulas(7) if not passed]
     assert failures == ["A(6) formula vs oracle"]
+
+
+def test_the_t_sigma_a_check_reads_a_off_a_jordan_sieve(monkeypatch):
+    """J_2(6) off by 8 in the identities suite's sieve fails t = sigma1*A."""
+    from permcensus import arith, verify
+
+    sieve = arith.jordan_table
+
+    def sieve_with_a_wrong_j2_6(bound, k):
+        table = sieve(bound, k)
+        if k == 2 and bound >= 6:
+            table[6] += 8  # keeps 3 (n - 2) J_2(n) / 8 an integer
+        return table
+
+    monkeypatch.setattr(arith, "jordan_table", sieve_with_a_wrong_j2_6)
+    failures = [label for label, passed in verify._suite_identities(7) if not passed]
+    assert "t = sigma1*A (n <= 5000)" in failures
 
 
 def test_the_euler_product_check_reads_the_suite_phi_sieve(monkeypatch):

@@ -15,7 +15,6 @@ from permcensus.perm import (
     conjugacy_class_size,
     cycle_structure,
     cycles_string,
-    from_cycles,
     inverse,
     parse_cycles,
     signature,
@@ -65,7 +64,7 @@ def test_parse_and_print():
     assert type(s) is tuple
     assert s == (2, 3, 1, 4, 5, 6, 8, 9, 7)
     assert cycles_string(s) == "(1 2 3)(7 8 9)"
-    assert parse_cycles("(1, 2, 3)", 4) == from_cycles([(1, 2, 3)], 4)
+    assert parse_cycles("(1, 2, 3)", 4) == (2, 3, 1, 4)
     assert parse_cycles("", 5) == tuple(range(1, 6))
     assert cycles_string(tuple(range(1, 3))) == "()"
     with pytest.raises(ValueError):
@@ -74,6 +73,8 @@ def test_parse_and_print():
         parse_cycles("(1 2)(2 3)", 4)
     with pytest.raises(ValueError):
         parse_cycles("(1 5)", 4)
+    with pytest.raises(ValueError):
+        parse_cycles("", 0)
 
 
 @given(permutations())
